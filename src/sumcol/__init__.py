@@ -1,153 +1,32 @@
 """Minimum sum coloring: exact-cost representations, tabu search engines,
-a memetic optimizer, and a reproducible benchmark harness."""
+a memetic optimizer, and a reproducible benchmark harness.
 
-from .bench import (
-    CSV_COLUMNS,
-    DNTS,
-    MASC,
-    MODES,
-    SINGLE_MODE_BUDGET,
-    TS_N1,
-    TS_N2,
-    InstanceRecord,
-    ManifestError,
-    RunReport,
-    RunRow,
-    WelchTestResult,
-    compare_sums,
-    default_params,
-    load_instance,
-    load_manifest,
-    render_report,
-    run_instance,
-    run_seed,
-    welch_t_test,
-    write_report,
-)
-from .coloring import (
-    Coloring,
-    ColoringFormatError,
-    canonical_relabel,
-    format_coloring,
-    hamming_distance,
-    is_proper,
-    load_coloring,
-    parse_coloring,
-    save_coloring,
-    sum_value,
-)
-from .graph import (
-    DimacsParseError,
-    Graph,
-    ParseDiagnostics,
-    connected_components,
-    load_dimacs,
-    parse_dimacs,
-    to_dimacs,
-)
-from .memetic import (
-    MemeticParams,
-    Population,
-    choose_parent_count,
-    diversity_score,
-    memetic_search,
-    partition_crossover,
-    select_parents,
-    update_population,
-)
-from .tabu_search import (
-    BOTH_NEIGHBORHOODS,
-    EXCHANGE,
-    RELOCATE,
-    ExchangeMove,
-    RelocateMove,
-    SearchStats,
-    TabuSearchParams,
-    TabuState,
-    apply_move,
-    enumerate_exchange_moves,
-    enumerate_relocate_moves,
-    perturb,
-    select_move,
-    tabu_search,
-)
-from .tabucol import (
-    PopulationInitError,
-    TabucolParams,
-    generate_population,
-    greedy_coloring,
-    initial_coloring,
-    tabucol,
-)
+The package root holds the user API; everything else is imported from its
+own module, e.g. ``from sumcol.tabu_search import tabu_search``.
+"""
+
+from .bench import run_instance, run_seed, welch_t_test
+from .coloring import Coloring, is_proper, load_coloring, save_coloring
+from .graph import Graph, load_dimacs
+from .memetic import MemeticParams, memetic_search
+from .tabu_search import TabuSearchParams
+from .tabucol import TabucolParams
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BOTH_NEIGHBORHOODS",
-    "CSV_COLUMNS",
     "Coloring",
-    "ColoringFormatError",
-    "DNTS",
-    "DimacsParseError",
-    "EXCHANGE",
-    "ExchangeMove",
     "Graph",
-    "InstanceRecord",
-    "MASC",
-    "MODES",
-    "ManifestError",
     "MemeticParams",
-    "ParseDiagnostics",
-    "Population",
-    "PopulationInitError",
-    "RELOCATE",
-    "RelocateMove",
-    "RunReport",
-    "RunRow",
-    "SINGLE_MODE_BUDGET",
-    "SearchStats",
-    "TS_N1",
-    "TS_N2",
     "TabuSearchParams",
-    "TabuState",
     "TabucolParams",
-    "WelchTestResult",
-    "apply_move",
-    "canonical_relabel",
-    "choose_parent_count",
-    "compare_sums",
-    "connected_components",
-    "default_params",
-    "diversity_score",
-    "enumerate_exchange_moves",
-    "enumerate_relocate_moves",
-    "format_coloring",
-    "generate_population",
-    "greedy_coloring",
-    "hamming_distance",
-    "initial_coloring",
+    "__version__",
     "is_proper",
     "load_coloring",
     "load_dimacs",
-    "load_instance",
-    "load_manifest",
     "memetic_search",
-    "parse_coloring",
-    "parse_dimacs",
-    "partition_crossover",
-    "perturb",
-    "render_report",
     "run_instance",
     "run_seed",
     "save_coloring",
-    "select_move",
-    "select_parents",
-    "sum_value",
-    "tabu_search",
-    "tabucol",
-    "to_dimacs",
-    "update_population",
     "welch_t_test",
-    "write_report",
-    "__version__",
 ]

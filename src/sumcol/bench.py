@@ -21,8 +21,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from scipy.stats import t as _student_t
-
 from .coloring import Coloring
 from .graph import Graph, load_dimacs
 from .memetic import MemeticParams, memetic_search
@@ -239,11 +237,12 @@ def _run_once(
     stats = SearchStats()
     started = time.perf_counter()
     best_at = 0.0
-    if mode == MASC:
-        def note(_sum_value: int) -> None:
-            nonlocal best_at
-            best_at = time.perf_counter() - started
 
+    def note(*_improvement: int) -> None:
+        nonlocal best_at
+        best_at = time.perf_counter() - started
+
+    if mode == MASC:
         best, best_sum = memetic_search(
             graph, params, rng,
             warm_start=warm_start, target=target, validate=validate,
@@ -251,26 +250,17 @@ def _run_once(
         )
     else:
         start = warm_start if warm_start is not None else initial_coloring(graph, params.init, rng)
-        best_at = time.perf_counter() - started
-
-        def note2(_sum_value: int, _iteration: int) -> None:
-            nonlocal best_at
-            best_at = time.perf_counter() - started
-
+        note()
         best = tabu_search(
             start, graph, params.tabu, rng,
             neighborhoods=_NEIGHBORHOODS[mode], validate=validate,
-            on_improve=note2, stats=stats,
+            on_improve=note, stats=stats,
         )
         best_sum = best.sum
     wall = time.perf_counter() - started
     row = RunRow(seed=seed, sum=best_sum, k=best.k, iterations=stats.iterations,
                  wall_seconds=wall, best_seconds=best_at)
     return row, list(best.assignment)
-
-
-def _worker(args) -> tuple[RunRow, list[int]]:
-    return _run_once(*args)
 
 
 def run_instance(
@@ -308,7 +298,7 @@ def run_instance(
     ]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_worker, tasks))
+            results = list(pool.map(_run_once, *zip(*tasks)))
     else:
         results = [_run_once(*task) for task in tasks]
     rows = [row for row, _ in results]
@@ -355,7 +345,9 @@ def welch_t_test(sample_a: Sequence[float], sample_b: Sequence[float]) -> WelchT
     df = squared_error ** 2 / (
         (term_a ** 2) / (len(sample_a) - 1) + (term_b ** 2) / (len(sample_b) - 1)
     )
-    p_value = 2.0 * float(_student_t.sf(abs(stat), df))
+    from scipy.stats import t as student_t  # on use: scipy would dominate import time
+
+    p_value = 2.0 * float(student_t.sf(abs(stat), df))
     return WelchTestResult(stat, df, p_value, p_value < 0.05, False)
 
 

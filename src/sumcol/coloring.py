@@ -26,17 +26,17 @@ class ColoringFormatError(ValueError):
 class Coloring:
     """Mutable vertex coloring with incremental bookkeeping.
 
-    Maintains, besides the per-vertex assignment, one membership bitmask and
-    one size per class plus the cached color sum, all updated in O(moved
-    vertices) by the mutators.  Equality compares assignments only.
+    Maintains, besides the per-vertex assignment, one membership bitmask per
+    class (a class's size is its mask's bit count) and the cached color sum,
+    all updated in O(moved vertices) by the mutators.  Equality compares
+    assignments only; colorings are mutable and so not hashable.
     """
 
-    __slots__ = ("assignment", "class_masks", "class_sizes", "sum")
+    __slots__ = ("assignment", "class_masks", "sum")
 
-    def __init__(self, assignment: list[int], class_masks: list[int], class_sizes: list[int], total: int):
+    def __init__(self, assignment: list[int], class_masks: list[int], total: int):
         self.assignment = assignment
         self.class_masks = class_masks
-        self.class_sizes = class_sizes
         self.sum = total
 
     @classmethod
@@ -53,11 +53,9 @@ class Coloring:
         elif k < top:
             raise ValueError(f"k={k} below largest used color {top}")
         masks = [0] * k
-        sizes = [0] * k
         for v, c in enumerate(assignment):
             masks[c - 1] |= 1 << v
-            sizes[c - 1] += 1
-        return cls(assignment, masks, sizes, sum(assignment))
+        return cls(assignment, masks, sum(assignment))
 
     @property
     def n(self) -> int:
@@ -65,25 +63,22 @@ class Coloring:
 
     @property
     def k(self) -> int:
-        return len(self.class_sizes)
+        return len(self.class_masks)
 
     def copy(self) -> "Coloring":
-        return Coloring(self.assignment[:], self.class_masks[:], self.class_sizes[:], self.sum)
+        return Coloring(self.assignment[:], self.class_masks[:], self.sum)
 
     def add_class(self) -> int:
         """Allocate one empty class; returns its (1-based) color."""
         self.class_masks.append(0)
-        self.class_sizes.append(0)
-        return len(self.class_sizes)
+        return len(self.class_masks)
 
     def recolor(self, v: int, color: int) -> None:
         """Move one vertex to ``color`` (1-based, must be allocated)."""
         old = self.assignment[v]
         bit = 1 << v
         self.class_masks[old - 1] ^= bit
-        self.class_sizes[old - 1] -= 1
         self.class_masks[color - 1] |= bit
-        self.class_sizes[color - 1] += 1
         self.assignment[v] = color
         self.sum += color - old
 
@@ -98,8 +93,6 @@ class Coloring:
         count_b = part_b.bit_count()
         self.class_masks[color_a - 1] = (ma & ~part_a) | part_b
         self.class_masks[color_b - 1] = (mb & ~part_b) | part_a
-        self.class_sizes[color_a - 1] += count_b - count_a
-        self.class_sizes[color_b - 1] += count_a - count_b
         assignment = self.assignment
         m = part_a
         while m:
@@ -128,16 +121,8 @@ class Coloring:
             return NotImplemented
         return self.assignment == other.assignment
 
-    def __hash__(self):
-        return hash(tuple(self.assignment))
-
     def __repr__(self):
         return f"Coloring(n={self.n}, k={self.k}, sum={self.sum})"
-
-
-def sum_value(coloring: Coloring) -> int:
-    """Sum of assigned colors; the cached value kept current by mutators."""
-    return coloring.sum
 
 
 def is_proper(coloring: Coloring, graph: Graph) -> bool:
@@ -167,15 +152,14 @@ def canonical_relabel(coloring: Coloring) -> Coloring:
     result minimizes the color sum over all relabelings of the partition and
     the map is idempotent.  Never increases the sum.
     """
+    masks = coloring.class_masks
     order = sorted(
-        (i for i in range(coloring.k) if coloring.class_sizes[i] > 0),
-        key=lambda i: (-coloring.class_sizes[i], coloring.class_masks[i] & -coloring.class_masks[i]),
+        (i for i in range(coloring.k) if masks[i]),
+        key=lambda i: (-masks[i].bit_count(), masks[i] & -masks[i]),
     )
     relabel = {old: new for new, old in enumerate(order, start=1)}
     assignment = [relabel[c - 1] for c in coloring.assignment]
-    masks = [coloring.class_masks[old] for old in order]
-    sizes = [coloring.class_sizes[old] for old in order]
-    return Coloring(assignment, masks, sizes, sum(assignment))
+    return Coloring(assignment, [masks[old] for old in order], sum(assignment))
 
 
 def format_coloring(coloring: Coloring) -> str:

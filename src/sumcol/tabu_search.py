@@ -136,8 +136,8 @@ def _pair_exchanges(coloring: Coloring, graph: Graph, color_a: int, color_b: int
 def enumerate_exchange_moves(coloring: Coloring, graph: Graph) -> list[ExchangeMove]:
     """Every exchange move of the coloring, over all class pairs."""
     moves = []
-    sizes = coloring.class_sizes
-    nonempty = [c for c in range(1, coloring.k + 1) if sizes[c - 1]]
+    masks = coloring.class_masks
+    nonempty = [c for c in range(1, coloring.k + 1) if masks[c - 1]]
     for i, a in enumerate(nonempty):
         for b in nonempty[i + 1:]:
             moves.extend(_pair_exchanges(coloring, graph, a, b))
@@ -219,10 +219,11 @@ def perturb(best: Coloring, tabu: TabuState, rng: random.Random) -> Coloring:
     {0..k} (k counted after allocation, so the draw covers 0..new k - 1).
     """
     c = best.copy()
-    sizes = c.class_sizes
-    largest = max(range(1, c.k + 1), key=lambda col: sizes[col - 1])
+    masks = c.class_masks
+    largest = max(range(1, c.k + 1), key=lambda col: masks[col - 1].bit_count())
     fresh = c.add_class()
-    movers = rng.sample(c.class_members(largest), sizes[largest - 1] // 3)
+    members = c.class_members(largest)
+    movers = rng.sample(members, len(members) // 3)
     for v in movers:
         c.recolor(v, fresh)
     tenure = rng.randrange(c.k)
@@ -394,7 +395,7 @@ class TabuSearchRun:
     def _select_exchange(self, at: int) -> ExchangeMove | None:
         current = self.current
         graph = self.graph
-        sizes = current.class_sizes
+        masks = current.class_masks
         k = current.k
         rng = self.rng
         pair_until = self.tabu.pair_until
@@ -406,7 +407,7 @@ class TabuSearchRun:
         chosen = None
         best_delta = None
         ties = 0
-        nonempty = [c for c in range(1, k + 1) if sizes[c - 1]]
+        nonempty = [c for c in range(1, k + 1) if masks[c - 1]]
         for i, a in enumerate(nonempty):
             version_a = versions[a]
             a_active = class_active[a] if class_active else False
@@ -455,6 +456,12 @@ class TabuSearchRun:
 
     def _check_state(self) -> None:
         current = self.current
+        # is_proper and relocation feasibility trust the masks: check them first
+        masks = [0] * current.k
+        for v, c in enumerate(current.assignment):
+            masks[c - 1] |= 1 << v
+        if masks != current.class_masks:
+            raise AssertionError("class masks out of sync with the assignment")
         if not is_proper(current, self.graph):
             raise AssertionError("current coloring became improper")
         if current.sum != sum(current.assignment):

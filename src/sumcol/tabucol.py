@@ -143,8 +143,9 @@ def _tabucol_attempt(graph: Graph, k: int, params: TabucolParams, rng: random.Ra
     return None
 
 
-def _descend(graph: Graph, params: TabucolParams, rng: random.Random) -> Coloring:
-    """Greedy bound, then tabucol at decreasing k; the last success wins."""
+def initial_coloring(graph: Graph, params: TabucolParams, rng: random.Random) -> Coloring:
+    """One proper coloring at the smallest k the budget reaches: greedy
+    bound, then tabucol at decreasing k; the last success wins."""
     best = greedy_coloring(graph)
     k = best.k
     while k >= 1:
@@ -154,11 +155,6 @@ def _descend(graph: Graph, params: TabucolParams, rng: random.Random) -> Colorin
         best = sol
         k -= 1
     return canonical_relabel(best)
-
-
-def initial_coloring(graph: Graph, params: TabucolParams, rng: random.Random) -> Coloring:
-    """One proper coloring at the smallest k the budget reaches."""
-    return _descend(graph, params, rng)
 
 
 def generate_population(
@@ -193,7 +189,7 @@ def generate_population(
 
     if include is not None:
         try_add(include)
-    seed = _descend(graph, params, rng)
+    seed = initial_coloring(graph, params, rng)
     k_min = seed.k
     if len(members) < size:
         try_add(seed)

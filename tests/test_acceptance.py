@@ -20,27 +20,24 @@ import pytest
 from sumcol import (
     Coloring,
     Graph,
-    ExchangeMove,
-    InstanceRecord,
     MemeticParams,
-    PopulationInitError,
-    RelocateMove,
     TabucolParams,
     TabuSearchParams,
+    is_proper,
+    memetic_search,
+    run_instance,
+)
+from sumcol.bench import InstanceRecord, load_instance, load_manifest, render_report
+from sumcol.coloring import canonical_relabel
+from sumcol.memetic import partition_crossover
+from sumcol.tabu_search import (
+    ExchangeMove,
+    RelocateMove,
     TabuState,
     apply_move,
-    canonical_relabel,
     enumerate_exchange_moves,
-    initial_coloring,
-    is_proper,
-    load_instance,
-    load_manifest,
-    memetic_search,
-    partition_crossover,
-    render_report,
-    run_instance,
-    sum_value,
 )
+from sumcol.tabucol import PopulationInitError, initial_coloring
 
 import oracles
 from conftest import MANIFEST_PATH
@@ -298,7 +295,7 @@ def test_criterion_5d_crossover_invariants_over_1e4_offspring():
             assert len(child.assignment) == n
             assert min(child.assignment) >= 1
             assert is_proper(child, graph)
-            assert child.sum == sum_value(child)
+            assert child.sum == sum(child.assignment)
             for mask in child.class_masks:
                 assert any(mask & pm == mask for p in parents for pm in p.class_masks)
             crossovers += 1

@@ -1,0 +1,48 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import sumcol
+
+ROOT_API = [
+    "Coloring",
+    "Graph",
+    "MemeticParams",
+    "TabuSearchParams",
+    "TabucolParams",
+    "__version__",
+    "is_proper",
+    "load_coloring",
+    "load_dimacs",
+    "memetic_search",
+    "run_instance",
+    "run_seed",
+    "save_coloring",
+    "welch_t_test",
+]
+
+PROBE = """
+import json, sys, types
+import sumcol
+print(json.dumps({
+    "scipy_loaded": "scipy" in sys.modules,
+    "modules": [isinstance(sumcol.tabu_search, types.ModuleType),
+                isinstance(sumcol.tabucol, types.ModuleType)],
+    "all": sorted(sumcol.__all__),
+    "unresolved": [name for name in sumcol.__all__ if not hasattr(sumcol, name)],
+}))
+"""
+
+
+def test_package_root_is_the_documented_api():
+    # A fresh interpreter, so nothing imported by other tests leaks in.
+    src = str(Path(sumcol.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", PROBE], capture_output=True, text=True, env=env, check=True)
+    probe = json.loads(proc.stdout)
+    assert probe["scipy_loaded"] is False
+    assert probe["modules"] == [True, True]
+    assert probe["all"] == ROOT_API
+    assert probe["unresolved"] == []

@@ -5,22 +5,24 @@ import random
 import pytest
 
 from sumcol import (
+    MemeticParams,
+    TabucolParams,
+    TabuSearchParams,
+    run_instance,
+    run_seed,
+    welch_t_test,
+)
+from sumcol.bench import (
     CSV_COLUMNS,
     InstanceRecord,
     ManifestError,
-    MemeticParams,
     RunReport,
     RunRow,
-    TabucolParams,
-    TabuSearchParams,
     compare_sums,
     default_params,
     load_instance,
     load_manifest,
     render_report,
-    run_instance,
-    run_seed,
-    welch_t_test,
     write_report,
 )
 

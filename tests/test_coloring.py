@@ -2,16 +2,13 @@ import random
 
 import pytest
 
-from sumcol import (
-    Coloring,
+from sumcol import Coloring, Graph, is_proper
+from sumcol.coloring import (
     ColoringFormatError,
-    Graph,
     canonical_relabel,
     format_coloring,
     hamming_distance,
-    is_proper,
     parse_coloring,
-    sum_value,
 )
 
 import oracles
@@ -20,15 +17,15 @@ import oracles
 def test_from_assignment_basics():
     c = Coloring.from_assignment([1, 2, 1, 3])
     assert c.n == 4 and c.k == 3
-    assert c.sum == 7 == sum_value(c)
-    assert c.class_sizes == [2, 1, 1]
+    assert c.sum == 7 == sum(c.assignment)
+    assert [m.bit_count() for m in c.class_masks] == [2, 1, 1]
     assert c.class_members(1) == [0, 2]
 
 
 def test_from_assignment_allocates_trailing_empty_classes():
     c = Coloring.from_assignment([1, 1], k=3)
     assert c.k == 3
-    assert c.class_sizes == [2, 0, 0]
+    assert [m.bit_count() for m in c.class_masks] == [2, 0, 0]
 
 
 def test_from_assignment_rejects_bad_input():
@@ -43,7 +40,7 @@ def test_recolor_updates_everything():
     c.recolor(0, 2)
     assert c.assignment == [2, 2, 1]
     assert c.sum == 5
-    assert c.class_sizes == [1, 2]
+    assert [m.bit_count() for m in c.class_masks] == [1, 2]
     assert c.class_members(2) == [0, 1]
 
 
@@ -72,7 +69,7 @@ def test_swap_between_matches_manual_recolors():
             manual.recolor(v, b if assignment[v] == a else a)
         assert c.assignment == manual.assignment
         assert c.sum == manual.sum == oracles.naive_sum(c.assignment)
-        assert c.class_sizes == manual.class_sizes
+        assert [m.bit_count() for m in c.class_masks] == [m.bit_count() for m in manual.class_masks]
 
 
 def test_incremental_sum_over_random_recolors():
@@ -102,7 +99,9 @@ def test_hamming_distance():
 def test_equality_and_hash_follow_assignment():
     a = Coloring.from_assignment([1, 2, 1])
     b = Coloring.from_assignment([1, 2, 1], k=3)
-    assert a == b and hash(a) == hash(b)
+    assert a == b
+    with pytest.raises(TypeError):
+        hash(a)
     assert a != Coloring.from_assignment([2, 1, 2])
 
 
@@ -137,7 +136,7 @@ def test_canonical_relabel_idempotent_and_never_worse():
         once = canonical_relabel(c)
         assert once.sum <= c.sum
         assert canonical_relabel(once).assignment == once.assignment
-        sizes = once.class_sizes
+        sizes = [m.bit_count() for m in once.class_masks]
         assert all(s > 0 for s in sizes)
         assert sizes == sorted(sizes, reverse=True)
 

@@ -2,14 +2,9 @@ import random
 
 import pytest
 
-from sumcol import (
-    Coloring,
-    Graph,
-    canonical_relabel,
-    choose_parent_count,
-    is_proper,
-    partition_crossover,
-)
+from sumcol import Coloring, Graph, is_proper
+from sumcol.coloring import canonical_relabel
+from sumcol.memetic import choose_parent_count, partition_crossover
 
 import oracles
 

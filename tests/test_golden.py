@@ -1,0 +1,108 @@
+"""Golden trajectories: fixed-seed runs on myciel5 replayed bit for bit.
+
+Each case records what a run observably does: every improvement event, the
+population sums after each memetic generation, the iteration count, the
+number of perturbations and the final assignment.  A change that claims to
+keep the solver's behaviour must leave all of it unchanged.
+
+The data in ``golden/myciel5.json`` is regenerated only on purpose, when a
+change is meant to alter the search, by running
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import json
+import random
+from pathlib import Path
+
+import pytest
+
+import sumcol.tabu_search as tabu_search_module
+from sumcol import (
+    MemeticParams,
+    TabucolParams,
+    TabuSearchParams,
+    load_dimacs,
+    memetic_search,
+)
+from sumcol.tabu_search import EXCHANGE, RELOCATE, SearchStats, tabu_search
+from sumcol.tabucol import initial_coloring
+
+ROOT = Path(__file__).resolve().parent
+GOLDEN_PATH = ROOT / "golden" / "myciel5.json"
+INSTANCE_PATH = ROOT.parent / "instances" / "myciel5.col"
+
+INIT = TabucolParams(iteration_budget=2000, restarts=1)
+# Short phases and a low stall limit make perturbation fire several times.
+SINGLE = TabuSearchParams(exchange_idle_limit=200, relocate_idle_limit=200,
+                          stall_limit=300, iteration_budget=3000)
+NEIGHBORHOODS = {
+    "dnts": (EXCHANGE, RELOCATE),
+    "ts-n1": (EXCHANGE,),
+    "ts-n2": (RELOCATE,),
+}
+SEED = 2013
+
+
+def _run_masc(graph) -> dict:
+    params = MemeticParams(max_generations=5, init=INIT,
+                           tabu=TabuSearchParams(iteration_budget=2000))
+    improvements: list[int] = []
+    generations: list[list[int]] = []
+    stats = SearchStats()
+    best, best_sum = memetic_search(
+        graph, params, random.Random(SEED),
+        on_improve=improvements.append,
+        on_generation=lambda _g, pop, _best: generations.append([m.sum for m in pop.members]),
+        stats=stats,
+    )
+    return {"improvements": improvements, "generations": generations,
+            "iterations": stats.iterations, "sum": best_sum, "assignment": best.assignment}
+
+
+def _run_single(graph, mode: str) -> dict:
+    rng = random.Random(SEED)
+    start = initial_coloring(graph, INIT, rng)
+    improvements: list[list[int]] = []
+    stats = SearchStats()
+    best = tabu_search(start, graph, SINGLE, rng, neighborhoods=NEIGHBORHOODS[mode],
+                       on_improve=lambda s, it: improvements.append([s, it]), stats=stats)
+    return {"start": start.assignment, "improvements": improvements,
+            "iterations": stats.iterations, "sum": best.sum, "assignment": best.assignment}
+
+
+def run_case(mode: str) -> dict:
+    """One golden case, with the number of perturbations it went through."""
+    graph = load_dimacs(str(INSTANCE_PATH))
+    original = tabu_search_module.perturb
+    calls = 0
+
+    def counting_perturb(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    tabu_search_module.perturb = counting_perturb
+    try:
+        out = _run_masc(graph) if mode == "masc" else _run_single(graph, mode)
+    finally:
+        tabu_search_module.perturb = original
+    out["perturbations"] = calls
+    return out
+
+
+CASES = ("masc",) + tuple(NEIGHBORHOODS)
+
+
+@pytest.mark.parametrize("mode", CASES)
+def test_golden_trajectory_replays(mode):
+    expected = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))[mode]
+    assert run_case(mode) == expected
+
+
+if __name__ == "__main__":
+    data = {mode: run_case(mode) for mode in CASES}
+    GOLDEN_PATH.parent.mkdir(exist_ok=True)
+    GOLDEN_PATH.write_text(json.dumps(data, separators=(",", ":")) + "\n", encoding="utf-8")

@@ -2,13 +2,8 @@ import random
 
 import pytest
 
-from sumcol import (
-    DimacsParseError,
-    Graph,
-    connected_components,
-    parse_dimacs,
-    to_dimacs,
-)
+from sumcol import Graph
+from sumcol.graph import DimacsParseError, connected_components, parse_dimacs, to_dimacs
 
 import oracles
 

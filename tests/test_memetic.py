@@ -6,17 +6,14 @@ import pytest
 from sumcol import (
     Coloring,
     MemeticParams,
-    Population,
     TabucolParams,
     TabuSearchParams,
-    canonical_relabel,
-    diversity_score,
-    hamming_distance,
     is_proper,
     memetic_search,
-    select_parents,
-    update_population,
 )
+from sumcol.coloring import canonical_relabel, hamming_distance
+from sumcol.memetic import Population, diversity_score, select_parents, update_population
+from sumcol.tabu_search import SearchStats
 
 
 def quick_params(**overrides):
@@ -122,8 +119,6 @@ def test_memetic_search_reaches_known_optimum(myciel3):
 
 
 def test_memetic_search_callbacks_and_stats(myciel4):
-    from sumcol import SearchStats
-
     stats = SearchStats()
     improvements = []
     generations = []

@@ -2,16 +2,14 @@ import random
 
 import pytest
 
-from sumcol import (
-    Coloring,
+from sumcol import Coloring, Graph, is_proper
+from sumcol.tabu_search import (
     ExchangeMove,
-    Graph,
     RelocateMove,
     TabuState,
     apply_move,
     enumerate_exchange_moves,
     enumerate_relocate_moves,
-    is_proper,
     perturb,
     select_move,
 )

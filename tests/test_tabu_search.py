@@ -2,20 +2,10 @@ import random
 
 import pytest
 
-from sumcol import (
-    EXCHANGE,
-    RELOCATE,
-    Coloring,
-    Graph,
-    SearchStats,
-    TabucolParams,
-    TabuSearchParams,
-    canonical_relabel,
-    initial_coloring,
-    is_proper,
-    sum_value,
-    tabu_search,
-)
+from sumcol import Coloring, Graph, TabucolParams, TabuSearchParams, is_proper
+from sumcol.coloring import canonical_relabel
+from sumcol.tabu_search import EXCHANGE, RELOCATE, SearchStats, TabuSearchRun, tabu_search
+from sumcol.tabucol import initial_coloring
 
 import oracles
 
@@ -40,7 +30,7 @@ def test_validated_run_improves_small_instance(myciel3):
     out = tabu_search(start, myciel3, small_params(), rng, validate=True, stats=stats)
     assert is_proper(out, myciel3)
     assert out.sum <= start.sum
-    assert out.sum == sum_value(out)
+    assert out.sum == sum(out.assignment)
     assert out.assignment == canonical_relabel(out).assignment
     assert stats.iterations == 1500
 
@@ -76,6 +66,17 @@ def test_validated_runs_on_random_graphs():
         out = tabu_search(start, graph, params, rng, validate=True)
         assert is_proper(out, graph)
         assert out.sum <= start.sum
+
+
+def test_validation_catches_a_corrupted_class_mask(myciel3):
+    start = initial_coloring(myciel3, TabucolParams(), random.Random(1))
+    run = TabuSearchRun(start, myciel3, small_params(), random.Random(0), validate=True)
+    run._check_state()
+    # dropping a vertex from its own class keeps the coloring "proper" to
+    # is_proper, so only the mask cross-check can notice
+    run.current.class_masks[0] &= ~(1 << run.current.class_members(1)[0])
+    with pytest.raises(AssertionError, match="class masks"):
+        run._check_state()
 
 
 def test_on_improve_reports_strictly_decreasing_sums(myciel4):

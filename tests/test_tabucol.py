@@ -2,15 +2,13 @@ import random
 
 import pytest
 
-from sumcol import (
-    Graph,
+from sumcol import Graph, TabucolParams, is_proper
+from sumcol.coloring import canonical_relabel
+from sumcol.tabucol import (
     PopulationInitError,
-    TabucolParams,
-    canonical_relabel,
     generate_population,
     greedy_coloring,
     initial_coloring,
-    is_proper,
     tabucol,
 )
 
