@@ -236,10 +236,11 @@ def perturb(best: Coloring, tabu: TabuState, rng: random.Random) -> Coloring:
 class TabuSearchRun:
     """State of one search call: current coloring, incumbent, caches.
 
-    Keeps a per-vertex table of neighbor counts per class (relocation
-    feasibility in O(1)) and a cache of exchange moves per class pair,
-    invalidated through per-class version counters, so an iteration only
-    recomputes components for pairs touched since they were last scanned.
+    Keeps one free-class bitmask per vertex (bit c-1 set iff the vertex has
+    no neighbor in class c, so relocation targets are its set bits) and a
+    cache of exchange moves per class pair, invalidated through per-class
+    version counters, so an iteration only recomputes components for pairs
+    touched since they were last scanned.
     """
 
     def __init__(
@@ -269,15 +270,12 @@ class TabuSearchRun:
     def _set_current(self, coloring: Coloring) -> None:
         """Install a new current coloring and rebuild derived tables."""
         self.current = coloring
-        n = self.graph.n
-        k = coloring.k
-        counts = [[0] * k for _ in range(n)]
-        for v in range(n):
-            cv = coloring.assignment[v] - 1
-            for u in self.graph.adj_lists[v]:
-                counts[u][cv] += 1
-        self.counts = counts
-        self.class_versions = [0] * (k + 1)
+        masks = coloring.class_masks
+        self.free = [
+            sum(1 << idx for idx, m in enumerate(masks) if not adj & m)
+            for adj in self.graph.adj_masks
+        ]
+        self.class_versions = [0] * (coloring.k + 1)
         self.pair_cache: dict[tuple[int, int], tuple[int, int, list[ExchangeMove]]] = {}
 
     def run_phase(self, kind: str, idle_limit: int) -> None:
@@ -287,12 +285,14 @@ class TabuSearchRun:
         idle = 0
         while idle < idle_limit and self.tabu.iteration < budget:
             at = self.tabu.iteration + 1
+            if self.validate:
+                rng_state = self.rng.getstate()
             if kind == EXCHANGE:
                 move = self._select_exchange(at)
             else:
                 move = self._select_relocate(at)
             if self.validate:
-                self._check_selection(kind, move)
+                self._check_selection(kind, move, rng_state)
             if move is not None:
                 self._apply(move)
             self.tabu.iteration = at
@@ -314,44 +314,48 @@ class TabuSearchRun:
         self.stall = 0
 
     def _apply(self, move: Move) -> None:
-        counts = self.counts
-        adj_lists = self.graph.adj_lists
+        free = self.free
+        adj_masks = self.graph.adj_masks
+        masks = self.current.class_masks
+        apply_move(self.current, move, self.tabu, self.rng)
         if isinstance(move, RelocateMove):
-            src = move.source - 1
-            dst = move.target - 1
-            apply_move(self.current, move, self.tabu, self.rng)
-            for u in adj_lists[move.vertex]:
-                row = counts[u]
-                row[src] -= 1
-                row[dst] += 1
+            # neighbors lose the target; they gain the source once it holds
+            # none of their neighbors
+            source_mask = masks[move.source - 1]
+            source_bit = 1 << (move.source - 1)
+            keep = ~(1 << (move.target - 1))
+            for u in self.graph.adj_lists[move.vertex]:
+                if adj_masks[u] & source_mask:
+                    free[u] &= keep
+                else:
+                    free[u] = (free[u] & keep) | source_bit
         else:
-            a = move.color_a - 1
-            b = move.color_b - 1
-            part_a = move.mask & self.current.class_masks[a]
-            part_b = move.mask ^ part_a
-            apply_move(self.current, move, self.tabu, self.rng)
-            m = part_a
-            while m:
-                low = m & -m
-                for u in adj_lists[low.bit_length() - 1]:
-                    row = counts[u]
-                    row[a] -= 1
-                    row[b] += 1
-                m ^= low
-            m = part_b
-            while m:
-                low = m & -m
-                for u in adj_lists[low.bit_length() - 1]:
-                    row = counts[u]
-                    row[b] -= 1
-                    row[a] += 1
-                m ^= low
+            # only neighbors of the swapped component see classes a, b change
+            mask_a = masks[move.color_a - 1]
+            mask_b = masks[move.color_b - 1]
+            bit_a = 1 << (move.color_a - 1)
+            bit_b = 1 << (move.color_b - 1)
+            keep = ~(bit_a | bit_b)
+            touched = 0
+            for v in move.vertices():
+                touched |= adj_masks[v]
+            while touched:
+                low = touched & -touched
+                u = low.bit_length() - 1
+                adj = adj_masks[u]
+                f = free[u] & keep
+                if not adj & mask_a:
+                    f |= bit_a
+                if not adj & mask_b:
+                    f |= bit_b
+                free[u] = f
+                touched ^= low
         self.class_versions[move.color_a if isinstance(move, ExchangeMove) else move.source] += 1
         self.class_versions[move.color_b if isinstance(move, ExchangeMove) else move.target] += 1
 
     def _select_relocate(self, at: int) -> RelocateMove | None:
         current = self.current
-        counts = self.counts
+        free = self.free
         assignment = current.assignment
         k = current.k
         rng = self.rng
@@ -360,21 +364,21 @@ class TabuSearchRun:
         class_active = [class_until.get(c, 0) >= at for c in range(k + 1)] if class_until else None
         aspire_gap = self.best_sum - current.sum
         chosen = None
-        best_delta = None
+        # sentinel above every delta (|target - source| < k)
+        best_delta = k
         ties = 0
         for v in range(self.graph.n):
             source = assignment[v]
-            row = counts[v]
             src_tabu = class_active[source] if class_active else False
-            for idx in range(k):
-                if row[idx]:
-                    continue
-                target = idx + 1
-                if target == source:
-                    continue
+            # targets ascend, so deltas do: stop at the first one above the best
+            m = free[v] & ~(1 << (source - 1))
+            while m:
+                low = m & -m
+                m ^= low
+                target = low.bit_length()
                 delta = target - source
-                if best_delta is not None and delta > best_delta:
-                    continue
+                if delta > best_delta:
+                    break
                 is_tabu = (
                     src_tabu
                     or (class_active[target] if class_active else False)
@@ -382,7 +386,7 @@ class TabuSearchRun:
                 )
                 if is_tabu and delta >= aspire_gap:
                     continue
-                if best_delta is None or delta < best_delta:
+                if delta < best_delta:
                     best_delta = delta
                     chosen = (v, source, target, delta)
                     ties = 1
@@ -442,17 +446,21 @@ class TabuSearchRun:
                             chosen = move
         return chosen
 
-    def _check_selection(self, kind: str, move: Move | None) -> None:
-        """Cross-check the incremental selection against a full enumeration."""
+    def _check_selection(self, kind: str, move: Move | None, rng_state: tuple) -> None:
+        """Cross-check the incremental selection against ``select_move`` over
+        a full enumeration, replayed from the random state the selection
+        started from: both must pick the same move and draw the same numbers."""
         if kind == EXCHANGE:
             moves = enumerate_exchange_moves(self.current, self.graph)
         else:
             moves = enumerate_relocate_moves(self.current, self.graph)
-        reference = select_move(moves, self.tabu, self.best_sum, self.current.sum, random.Random(0))
-        if (reference is None) != (move is None):
-            raise AssertionError(f"selection blocked mismatch: {reference} vs {move}")
-        if move is not None and reference.delta != move.delta:
-            raise AssertionError(f"selection delta mismatch: {reference.delta} vs {move.delta}")
+        reference_rng = random.Random()
+        reference_rng.setstate(rng_state)
+        reference = select_move(moves, self.tabu, self.best_sum, self.current.sum, reference_rng)
+        if reference != move:
+            raise AssertionError(f"selection mismatch: {reference} vs {move}")
+        if reference_rng.getstate() != self.rng.getstate():
+            raise AssertionError("selection consumed the random stream differently")
 
     def _check_state(self) -> None:
         current = self.current
@@ -466,12 +474,10 @@ class TabuSearchRun:
             raise AssertionError("current coloring became improper")
         if current.sum != sum(current.assignment):
             raise AssertionError("cached sum out of sync")
-        for v in range(self.graph.n):
-            expected = [0] * current.k
-            for u in self.graph.adj_lists[v]:
-                expected[current.assignment[u] - 1] += 1
-            if expected != self.counts[v]:
-                raise AssertionError(f"neighbor count table out of sync at vertex {v}")
+        for v, adj in enumerate(self.graph.adj_masks):
+            expected = sum(1 << idx for idx, m in enumerate(masks) if not adj & m)
+            if expected != self.free[v]:
+                raise AssertionError(f"free-class mask out of sync at vertex {v}")
 
 
 def tabu_search(

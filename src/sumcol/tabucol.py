@@ -96,12 +96,15 @@ def _tabucol_attempt(graph: Graph, k: int, params: TabucolParams, rng: random.Ra
         return Coloring.from_assignment(colors, k=k)
     best = conflicts
     tabu_until = [[0] * k for _ in range(n)]
+    others = [tuple(c for c in range(k) if c != own) for own in range(k)]
     slope = params.tenure_slope
     base = params.tenure_base
     for it in range(1, params.iteration_budget + 1):
         chosen = None
-        chosen_delta = None
+        # sentinel above every delta (a delta is at most degree - 1 < n)
+        chosen_delta = n
         ties = 0
+        aspire_gap = best - conflicts
         for v in range(n):
             row = counts[v]
             own = colors[v] - 1
@@ -109,15 +112,13 @@ def _tabucol_attempt(graph: Graph, k: int, params: TabucolParams, rng: random.Ra
             if own_count == 0:
                 continue
             tabu_row = tabu_until[v]
-            for c in range(k):
-                if c == own:
-                    continue
+            for c in others[own]:
                 delta = row[c] - own_count
-                if chosen_delta is not None and delta > chosen_delta:
+                if delta > chosen_delta:
                     continue
-                if tabu_row[c] >= it and conflicts + delta >= best:
+                if tabu_row[c] >= it and delta >= aspire_gap:
                     continue
-                if chosen_delta is None or delta < chosen_delta:
+                if delta < chosen_delta:
                     chosen_delta = delta
                     chosen = (v, c)
                     ties = 1

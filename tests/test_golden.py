@@ -1,12 +1,15 @@
-"""Golden trajectories: fixed-seed runs on myciel5 replayed bit for bit.
+"""Golden trajectories: fixed-seed runs replayed bit for bit.
 
-Each case records what a run observably does: every improvement event, the
-population sums after each memetic generation, the iteration count, the
-number of perturbations and the final assignment.  A change that claims to
-keep the solver's behaviour must leave all of it unchanged.
+Each myciel5 case records what a run observably does: every improvement
+event, the population sums after each memetic generation, the iteration
+count, the number of perturbations and the final assignment.  The queen6_6
+case records a TABUCOL descent on a dense graph whose last attempt fails,
+and the random bits drawn after it, so a change in how failing attempts
+consume the stream shows.  A change that claims to keep the solver's
+behaviour must leave all of it unchanged.
 
-The data in ``golden/myciel5.json`` is regenerated only on purpose, when a
-change is meant to alter the search, by running
+The data in ``golden/`` is regenerated only on purpose, when a change is
+meant to alter the search, by running
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -33,6 +36,8 @@ from sumcol.tabucol import initial_coloring
 ROOT = Path(__file__).resolve().parent
 GOLDEN_PATH = ROOT / "golden" / "myciel5.json"
 INSTANCE_PATH = ROOT.parent / "instances" / "myciel5.col"
+DESCENT_GOLDEN_PATH = ROOT / "golden" / "queen6_6.json"
+DESCENT_INSTANCE_PATH = ROOT.parent / "instances" / "queen6_6.col"
 
 INIT = TabucolParams(iteration_budget=2000, restarts=1)
 # Short phases and a low stall limit make perturbation fire several times.
@@ -93,6 +98,15 @@ def run_case(mode: str) -> dict:
     return out
 
 
+def run_descent_case() -> dict:
+    """``initial_coloring`` on queen6_6: k = 9, 8 and 7 succeed, then both
+    restarts at k = 6 exhaust their budget."""
+    graph = load_dimacs(str(DESCENT_INSTANCE_PATH))
+    rng = random.Random(SEED)
+    best = initial_coloring(graph, TabucolParams(iteration_budget=3000, restarts=2), rng)
+    return {"k": best.k, "assignment": best.assignment, "next_bits": rng.getrandbits(64)}
+
+
 CASES = ("masc",) + tuple(NEIGHBORHOODS)
 
 
@@ -102,7 +116,13 @@ def test_golden_trajectory_replays(mode):
     assert run_case(mode) == expected
 
 
+def test_golden_tabucol_descent_replays():
+    expected = json.loads(DESCENT_GOLDEN_PATH.read_text(encoding="utf-8"))
+    assert run_descent_case() == expected
+
+
 if __name__ == "__main__":
-    data = {mode: run_case(mode) for mode in CASES}
     GOLDEN_PATH.parent.mkdir(exist_ok=True)
-    GOLDEN_PATH.write_text(json.dumps(data, separators=(",", ":")) + "\n", encoding="utf-8")
+    for path, data in ((GOLDEN_PATH, {mode: run_case(mode) for mode in CASES}),
+                       (DESCENT_GOLDEN_PATH, run_descent_case())):
+        path.write_text(json.dumps(data, separators=(",", ":")) + "\n", encoding="utf-8")

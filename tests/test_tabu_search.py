@@ -4,7 +4,14 @@ import pytest
 
 from sumcol import Coloring, Graph, TabucolParams, TabuSearchParams, is_proper
 from sumcol.coloring import canonical_relabel
-from sumcol.tabu_search import EXCHANGE, RELOCATE, SearchStats, TabuSearchRun, tabu_search
+from sumcol.tabu_search import (
+    EXCHANGE,
+    RELOCATE,
+    SearchStats,
+    TabuSearchRun,
+    enumerate_relocate_moves,
+    tabu_search,
+)
 from sumcol.tabucol import initial_coloring
 
 import oracles
@@ -68,15 +75,42 @@ def test_validated_runs_on_random_graphs():
         assert out.sum <= start.sum
 
 
-def test_validation_catches_a_corrupted_class_mask(myciel3):
-    start = initial_coloring(myciel3, TabucolParams(), random.Random(1))
-    run = TabuSearchRun(start, myciel3, small_params(), random.Random(0), validate=True)
-    run._check_state()
+def _drop_a_class_member(run):
     # dropping a vertex from its own class keeps the coloring "proper" to
     # is_proper, so only the mask cross-check can notice
     run.current.class_masks[0] &= ~(1 << run.current.class_members(1)[0])
-    with pytest.raises(AssertionError, match="class masks"):
+
+
+def _flip_a_free_class_bit(run):
+    run.free[0] ^= 1
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_drop_a_class_member, "class masks"),
+    (_flip_a_free_class_bit, "free-class mask"),
+], ids=["class-mask", "free-class-mask"])
+def test_validation_catches_a_corrupted_class_mask(myciel3, corrupt, message):
+    start = initial_coloring(myciel3, TabucolParams(), random.Random(1))
+    run = TabuSearchRun(start, myciel3, small_params(), random.Random(0), validate=True)
+    run._check_state()
+    corrupt(run)
+    with pytest.raises(AssertionError, match=message):
         run._check_state()
+
+
+def test_validation_catches_a_selection_the_reference_would_not_make(myciel3):
+    start = initial_coloring(myciel3, TabucolParams(), random.Random(1))
+    run = TabuSearchRun(start, myciel3, small_params(), random.Random(0), validate=True)
+    state = run.rng.getstate()
+    move = run._select_relocate(1)
+    run._check_selection(RELOCATE, move, state)
+    other = next(m for m in enumerate_relocate_moves(run.current, myciel3) if m != move)
+    with pytest.raises(AssertionError, match="selection mismatch"):
+        run._check_selection(RELOCATE, other, state)
+    # the same move reached with one extra draw still fails
+    run.rng.random()
+    with pytest.raises(AssertionError, match="random stream"):
+        run._check_selection(RELOCATE, move, state)
 
 
 def test_on_improve_reports_strictly_decreasing_sums(myciel4):
