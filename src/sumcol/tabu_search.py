@@ -237,10 +237,19 @@ class TabuSearchRun:
     """State of one search call: current coloring, incumbent, caches.
 
     Keeps one free-class bitmask per vertex (bit c-1 set iff the vertex has
-    no neighbor in class c, so relocation targets are its set bits) and a
-    cache of exchange moves per class pair, invalidated through per-class
+    no neighbor in class c, so relocation targets are its set bits) and its
+    transpose, one isolated-vertex mask per class (bit v of
+    ``isolated[c-1]`` set iff v has no neighbor in class c).
+
+    Exchange moves are cached per class pair in flat rows,
+    ``pair_cache[a][b] = (version_a, version_b, low, [(delta, mask), ...])``
+    with ``low`` the pair's minimum delta, invalidated through per-class
     version counters, so an iteration only recomputes components for pairs
-    touched since they were last scanned.
+    touched since they were last scanned, and skips a whole pair whose
+    ``low`` cannot be selected.  A recomputation searches only the linked
+    part of the pair's union (the vertices with a neighbor in the other
+    class): both classes are independent sets, so every other vertex is a
+    singleton component, which is never a move.
     """
 
     def __init__(
@@ -271,12 +280,20 @@ class TabuSearchRun:
         """Install a new current coloring and rebuild derived tables."""
         self.current = coloring
         masks = coloring.class_masks
+        k = coloring.k
         self.free = [
             sum(1 << idx for idx, m in enumerate(masks) if not adj & m)
             for adj in self.graph.adj_masks
         ]
-        self.class_versions = [0] * (coloring.k + 1)
-        self.pair_cache: dict[tuple[int, int], tuple[int, int, list[ExchangeMove]]] = {}
+        self.isolated = [
+            sum(1 << v for v, f in enumerate(self.free) if f >> idx & 1) for idx in range(k)
+        ]
+        self.class_versions = [0] * (k + 1)
+        # versions start at 0, so every row is recomputed on first use
+        stale = (-1, -1, 0, [])
+        self.pair_cache: list[list[tuple[int, int, int, list[tuple[int, int]]]]] = [
+            [stale] * (k + 1) for _ in range(k + 1)
+        ]
 
     def run_phase(self, kind: str, idle_limit: int) -> None:
         """Iterate one neighborhood until ``idle_limit`` consecutive
@@ -315,6 +332,7 @@ class TabuSearchRun:
 
     def _apply(self, move: Move) -> None:
         free = self.free
+        isolated = self.isolated
         adj_masks = self.graph.adj_masks
         masks = self.current.class_masks
         apply_move(self.current, move, self.tabu, self.rng)
@@ -324,11 +342,15 @@ class TabuSearchRun:
             source_mask = masks[move.source - 1]
             source_bit = 1 << (move.source - 1)
             keep = ~(1 << (move.target - 1))
+            gained = 0
             for u in self.graph.adj_lists[move.vertex]:
                 if adj_masks[u] & source_mask:
                     free[u] &= keep
                 else:
                     free[u] = (free[u] & keep) | source_bit
+                    gained |= 1 << u
+            isolated[move.target - 1] &= ~adj_masks[move.vertex]
+            isolated[move.source - 1] |= gained
         else:
             # only neighbors of the swapped component see classes a, b change
             mask_a = masks[move.color_a - 1]
@@ -339,6 +361,8 @@ class TabuSearchRun:
             touched = 0
             for v in move.vertices():
                 touched |= adj_masks[v]
+            iso_a = isolated[move.color_a - 1] & ~touched
+            iso_b = isolated[move.color_b - 1] & ~touched
             while touched:
                 low = touched & -touched
                 u = low.bit_length() - 1
@@ -346,10 +370,14 @@ class TabuSearchRun:
                 f = free[u] & keep
                 if not adj & mask_a:
                     f |= bit_a
+                    iso_a |= low
                 if not adj & mask_b:
                     f |= bit_b
+                    iso_b |= low
                 free[u] = f
                 touched ^= low
+            isolated[move.color_a - 1] = iso_a
+            isolated[move.color_b - 1] = iso_b
         self.class_versions[move.color_a if isinstance(move, ExchangeMove) else move.source] += 1
         self.class_versions[move.color_b if isinstance(move, ExchangeMove) else move.target] += 1
 
@@ -398,8 +426,9 @@ class TabuSearchRun:
 
     def _select_exchange(self, at: int) -> ExchangeMove | None:
         current = self.current
-        graph = self.graph
+        component_masks = self.graph.component_masks
         masks = current.class_masks
+        isolated = self.isolated
         k = current.k
         rng = self.rng
         pair_until = self.tabu.pair_until
@@ -407,44 +436,60 @@ class TabuSearchRun:
         class_active = [class_until.get(c, 0) >= at for c in range(k + 1)] if class_until else None
         aspire_gap = self.best_sum - current.sum
         versions = self.class_versions
-        cache = self.pair_cache
         chosen = None
-        best_delta = None
+        # sentinel above every delta (|b - a| < k, a component has <= n
+        # vertices); also the low of a pair without moves
+        best_delta = top = k * self.graph.n
         ties = 0
         nonempty = [c for c in range(1, k + 1) if masks[c - 1]]
         for i, a in enumerate(nonempty):
             version_a = versions[a]
             a_active = class_active[a] if class_active else False
+            mask_a = masks[a - 1]
+            row = self.pair_cache[a]
             for b in nonempty[i + 1:]:
-                key = (a, b)
-                entry = cache.get(key)
-                if entry is None or entry[0] != version_a or entry[1] != versions[b]:
-                    moves = _pair_exchanges(current, graph, a, b)
-                    cache[key] = (version_a, versions[b], moves)
+                entry = row[b]
+                if entry[0] != version_a or entry[1] != versions[b]:
+                    mask_b = masks[b - 1]
+                    linked = (mask_a & ~isolated[b - 1]) | (mask_b & ~isolated[a - 1])
+                    moves = []
+                    low = top
+                    for comp in component_masks(linked):
+                        delta = (b - a) * (2 * (comp & mask_a).bit_count() - comp.bit_count())
+                        moves.append((delta, comp))
+                        if delta < low:
+                            low = delta
+                    row[b] = (version_a, versions[b], low, moves)
                 else:
-                    moves = entry[2]
-                if not moves:
+                    low, moves = entry[2], entry[3]
+                # no move of a skipped pair could be examined, so none draws
+                if low > best_delta:
                     continue
                 pair_tabu = (
                     a_active
                     or (class_active[b] if class_active else False)
-                    or pair_until.get(key, 0) >= at
+                    or pair_until.get((a, b), 0) >= at
                 )
-                for move in moves:
-                    delta = move.delta
-                    if best_delta is not None and delta > best_delta:
+                if pair_tabu and low >= aspire_gap:
+                    continue
+                for delta, comp in moves:
+                    if delta > best_delta:
                         continue
                     if pair_tabu and delta >= aspire_gap:
                         continue
-                    if best_delta is None or delta < best_delta:
+                    if delta < best_delta:
                         best_delta = delta
-                        chosen = move
+                        chosen = (comp, a, b)
                         ties = 1
                     else:
                         ties += 1
                         if rng.random() * ties < 1.0:
-                            chosen = move
-        return chosen
+                            chosen = (comp, a, b)
+        if chosen is None:
+            return None
+        comp, a, b = chosen
+        count_a = (comp & masks[a - 1]).bit_count()
+        return ExchangeMove(comp, a, b, count_a, comp.bit_count() - count_a, best_delta)
 
     def _check_selection(self, kind: str, move: Move | None, rng_state: tuple) -> None:
         """Cross-check the incremental selection against ``select_move`` over
@@ -478,6 +523,19 @@ class TabuSearchRun:
             expected = sum(1 << idx for idx, m in enumerate(masks) if not adj & m)
             if expected != self.free[v]:
                 raise AssertionError(f"free-class mask out of sync at vertex {v}")
+        for idx, m in enumerate(masks):
+            expected = sum(1 << v for v, adj in enumerate(self.graph.adj_masks) if not adj & m)
+            if expected != self.isolated[idx]:
+                raise AssertionError(f"isolated-vertex mask out of sync for class {idx + 1}")
+        # every live cache row must hold the reference enumeration, in order
+        versions = self.class_versions
+        for a, row in enumerate(self.pair_cache):
+            for b, (version_a, version_b, low, moves) in enumerate(row):
+                if version_a == versions[a] and version_b == versions[b]:
+                    expected = [(m.delta, m.mask) for m in _pair_exchanges(current, self.graph, a, b)]
+                    expected_low = min((d for d, _ in expected), default=current.k * self.graph.n)
+                    if moves != expected or low != expected_low:
+                        raise AssertionError(f"pair cache out of sync for classes {a}, {b}")
 
 
 def tabu_search(

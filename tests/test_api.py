@@ -36,13 +36,22 @@ print(json.dumps({
 """
 
 
-def test_package_root_is_the_documented_api():
+def _fresh_interpreter(*args: str) -> subprocess.CompletedProcess:
     # A fresh interpreter, so nothing imported by other tests leaks in.
     src = str(Path(sumcol.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", PROBE], capture_output=True, text=True, env=env, check=True)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, check=True)
+
+
+def test_package_root_is_the_documented_api():
+    proc = _fresh_interpreter("-c", PROBE)
     probe = json.loads(proc.stdout)
     assert probe["scipy_loaded"] is False
     assert probe["modules"] == [True, True]
     assert probe["all"] == ROOT_API
     assert probe["unresolved"] == []
+
+
+def test_package_runs_as_a_module():
+    proc = _fresh_interpreter("-m", "sumcol", "--help")
+    assert "solve" in proc.stdout

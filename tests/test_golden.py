@@ -2,8 +2,9 @@
 
 Each myciel5 case records what a run observably does: every improvement
 event, the population sums after each memetic generation, the iteration
-count, the number of perturbations and the final assignment.  The queen6_6
-case records a TABUCOL descent on a dense graph whose last attempt fails,
+count, the number of perturbations and the final assignment.  The queen8_8
+case records the same for an exchange-only search on a dense graph, where
+class pairs have large linked components.  The queen6_6 case records a TABUCOL descent on a dense graph whose last attempt fails,
 and the random bits drawn after it, so a change in how failing attempts
 consume the stream shows.  A change that claims to keep the solver's
 behaviour must leave all of it unchanged.
@@ -36,6 +37,8 @@ from sumcol.tabucol import initial_coloring
 ROOT = Path(__file__).resolve().parent
 GOLDEN_PATH = ROOT / "golden" / "myciel5.json"
 INSTANCE_PATH = ROOT.parent / "instances" / "myciel5.col"
+DENSE_GOLDEN_PATH = ROOT / "golden" / "queen8_8.json"
+DENSE_INSTANCE_PATH = ROOT.parent / "instances" / "queen8_8.col"
 DESCENT_GOLDEN_PATH = ROOT / "golden" / "queen6_6.json"
 DESCENT_INSTANCE_PATH = ROOT.parent / "instances" / "queen6_6.col"
 
@@ -78,9 +81,9 @@ def _run_single(graph, mode: str) -> dict:
             "iterations": stats.iterations, "sum": best.sum, "assignment": best.assignment}
 
 
-def run_case(mode: str) -> dict:
+def run_case(mode: str, instance_path: Path = INSTANCE_PATH) -> dict:
     """One golden case, with the number of perturbations it went through."""
-    graph = load_dimacs(str(INSTANCE_PATH))
+    graph = load_dimacs(str(instance_path))
     original = tabu_search_module.perturb
     calls = 0
 
@@ -116,6 +119,16 @@ def test_golden_trajectory_replays(mode):
     assert run_case(mode) == expected
 
 
+def run_dense_case() -> dict:
+    """Exchange-only search (``ts-n1``) on queen8_8."""
+    return run_case("ts-n1", DENSE_INSTANCE_PATH)
+
+
+def test_golden_dense_exchange_replays():
+    expected = json.loads(DENSE_GOLDEN_PATH.read_text(encoding="utf-8"))
+    assert run_dense_case() == expected
+
+
 def test_golden_tabucol_descent_replays():
     expected = json.loads(DESCENT_GOLDEN_PATH.read_text(encoding="utf-8"))
     assert run_descent_case() == expected
@@ -124,5 +137,6 @@ def test_golden_tabucol_descent_replays():
 if __name__ == "__main__":
     GOLDEN_PATH.parent.mkdir(exist_ok=True)
     for path, data in ((GOLDEN_PATH, {mode: run_case(mode) for mode in CASES}),
+                       (DENSE_GOLDEN_PATH, run_dense_case()),
                        (DESCENT_GOLDEN_PATH, run_descent_case())):
         path.write_text(json.dumps(data, separators=(",", ":")) + "\n", encoding="utf-8")

@@ -38,6 +38,25 @@ def test_exchange_moves_match_oracle():
         assert ours == reference
 
 
+def test_linked_union_components_are_the_exchange_components():
+    # Both classes are independent sets, so a vertex with no neighbor in the
+    # other class is a singleton of their union: dropping every such vertex
+    # must leave exactly the 2+-vertex components, in the same order.
+    rng = random.Random(29)
+    for _ in range(60):
+        graph, edges, coloring = random_pair(rng, n_max=16, p=rng.choice((0.1, 0.25, 0.5)))
+        adj = oracles.adjacency_sets(graph.n, edges)
+        assignment = coloring.assignment
+        for a in range(1, coloring.k + 1):
+            for b in range(a + 1, coloring.k + 1):
+                other = {a: b, b: a}
+                linked = sum(1 << v for v, c in enumerate(assignment)
+                             if c in other and any(assignment[u] == other[c] for u in adj[v]))
+                union = coloring.class_masks[a - 1] | coloring.class_masks[b - 1]
+                expected = [m for m in graph.component_masks(union) if m & (m - 1)]
+                assert graph.component_masks(linked) == expected
+
+
 def test_exchange_move_counts_are_consistent():
     rng = random.Random(19)
     for _ in range(20):

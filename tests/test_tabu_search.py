@@ -85,10 +85,25 @@ def _flip_a_free_class_bit(run):
     run.free[0] ^= 1
 
 
+def _flip_an_isolated_vertex_bit(run):
+    run.isolated[0] ^= 1
+
+
+def _drop_a_cached_exchange(run):
+    # a selection brings every pair's row up to date; stale rows are skipped
+    run._select_exchange(1)
+    row = next(row for row in run.pair_cache if any(entry[3] for entry in row))
+    b = next(b for b, entry in enumerate(row) if entry[3])
+    version_a, version_b, low, moves = row[b]
+    row[b] = (version_a, version_b, low, moves[:-1])
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_drop_a_class_member, "class masks"),
     (_flip_a_free_class_bit, "free-class mask"),
-], ids=["class-mask", "free-class-mask"])
+    (_flip_an_isolated_vertex_bit, "isolated-vertex mask"),
+    (_drop_a_cached_exchange, "pair cache"),
+], ids=["class-mask", "free-class-mask", "isolated-mask", "pair-cache"])
 def test_validation_catches_a_corrupted_class_mask(myciel3, corrupt, message):
     start = initial_coloring(myciel3, TabucolParams(), random.Random(1))
     run = TabuSearchRun(start, myciel3, small_params(), random.Random(0), validate=True)
