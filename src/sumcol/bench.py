@@ -277,7 +277,7 @@ def run_instance(
 ) -> RunReport:
     """Run one instance ``runs`` times and aggregate the rows.
 
-    ``target`` (meaningful for mode "masc") stops a run early once its
+    ``target`` (mode "masc" only) stops a run early once its
     best sum reaches the value; summary sums are unaffected because the
     incumbent is monotone.  ``jobs`` > 1 spreads runs over processes; row
     order and therefore report content match the sequential result.
@@ -288,6 +288,8 @@ def run_instance(
         raise ValueError("runs must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
+    if target is not None and mode != MASC:
+        raise ValueError(f"target applies only to mode {MASC!r}, not {mode!r}")
     if params is None:
         params = default_params(mode)
     if graph is None:

@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--warm-start", metavar="PATH",
                        help="coloring file used as an initial solution")
     solve.add_argument("--target", type=int,
-                       help="stop a run once its best sum reaches this value")
+                       help="stop a run once its best sum reaches this value (masc only)")
     solve.add_argument("--best-known", type=int,
                        help="reference sum for the success-rate column")
     solve.add_argument("--save-best", metavar="PATH",

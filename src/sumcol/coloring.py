@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .graph import Graph
+from .graph import Graph, bits
 
 
 class ColoringFormatError(ValueError):
@@ -108,13 +108,7 @@ class Coloring:
 
     def class_members(self, color: int) -> list[int]:
         """Members of one class (1-based color), ascending."""
-        out = []
-        m = self.class_masks[color - 1]
-        while m:
-            low = m & -m
-            out.append(low.bit_length() - 1)
-            m ^= low
-        return out
+        return list(bits(self.class_masks[color - 1]))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Coloring):

@@ -42,7 +42,7 @@ class Graph:
     def __init__(self, n: int, adj_masks: list[int], diagnostics: ParseDiagnostics | None = None):
         self.n = n
         self.adj_masks = adj_masks
-        self.adj_lists: list[tuple[int, ...]] = [tuple(_bits(m)) for m in adj_masks]
+        self.adj_lists: list[tuple[int, ...]] = [tuple(bits(m)) for m in adj_masks]
         self.edge_count = sum(len(a) for a in self.adj_lists) // 2
         self.diagnostics = diagnostics
 
@@ -115,24 +115,12 @@ class Graph:
         return comps
 
 
-def _bits(mask: int) -> Iterator[int]:
+def bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, ascending."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def mask_of(vertices: Iterable[int]) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
-
-
-def connected_components(graph: Graph, subset: Iterable[int]) -> list[set[int]]:
-    """Connected components of the subgraph induced by ``subset`` (0-based
-    vertices), singletons included, as sets ordered by smallest member."""
-    return [set(_bits(m)) for m in graph.component_masks(mask_of(subset))]
 
 
 def parse_dimacs(text: str) -> Graph:

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .coloring import Coloring, canonical_relabel, hamming_distance, is_proper
-from .graph import Graph
-from .tabu_search import SearchStats, TabuSearchParams, tabu_search
+from .graph import Graph, bits
+from .tabu_search import SearchStats, TabuSearchParams, reservoir_min, tabu_search
 from .tabucol import TabucolParams, generate_population
 
 
@@ -107,34 +107,18 @@ def partition_crossover(parents: Sequence[Coloring], graph: Graph, rng: random.R
     color = 0
     while remaining:
         color += 1
-        chosen = None
-        best_size = 0
-        ties = 0
-        allowed = False
-        for j, barred in enumerate(barred_until):
-            if barred >= color:
-                continue
-            allowed = True
-            for ci, m in enumerate(residual[j]):
-                size = m.bit_count()
-                if size > best_size:
-                    best_size = size
-                    chosen = (j, ci)
-                    ties = 1
-                elif size and size == best_size:
-                    ties += 1
-                    if rng.random() * ties < 1.0:
-                        chosen = (j, ci)
-        assert allowed, "allowed parent set empty"
+        chosen = reservoir_min(
+            ((-m.bit_count(), (j, ci))
+             for j, barred in enumerate(barred_until) if barred < color
+             for ci, m in enumerate(residual[j]) if m),
+            rng,
+        )
         assert chosen is not None, "no nonempty class among allowed parents"
         j, ci = chosen
         class_mask = residual[j][ci]
         assert class_mask & ~remaining == 0, "vertex would be colored twice"
-        m = class_mask
-        while m:
-            low = m & -m
-            assignment[low.bit_length() - 1] = color
-            m ^= low
+        for v in bits(class_mask):
+            assignment[v] = color
         remaining &= ~class_mask
         for res in residual:
             for idx in range(len(res)):
@@ -180,32 +164,16 @@ def update_population(
     pool: list[Coloring] = population.members + [offspring]
     n = offspring.n
     scores = [diversity_score(i, pool, n) for i in range(len(pool))]
-    worst = _argmax_random_ties(scores, rng)
+    negated = [(-score, i) for i, score in enumerate(scores)]
+    worst = reservoir_min(negated, rng)
     last = len(pool) - 1
     if worst != last:
         population.replace(worst, offspring)
         return True
     if rng.random() < replace_second_worst_probability:
-        worst_existing = _argmax_random_ties(scores[:last], rng)
-        population.replace(worst_existing, offspring)
+        population.replace(reservoir_min(negated[:last], rng), offspring)
         return True
     return False
-
-
-def _argmax_random_ties(values: Sequence[float], rng: random.Random) -> int:
-    best = None
-    chosen = -1
-    ties = 0
-    for i, value in enumerate(values):
-        if best is None or value > best:
-            best = value
-            chosen = i
-            ties = 1
-        elif value == best:
-            ties += 1
-            if rng.random() * ties < 1.0:
-                chosen = i
-    return chosen
 
 
 def memetic_search(

@@ -27,10 +27,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .coloring import Coloring, canonical_relabel, is_proper
-from .graph import Graph
+from .graph import Graph, bits
+
+T = TypeVar("T")
 
 EXCHANGE = "exchange"
 RELOCATE = "relocate"
@@ -58,17 +60,10 @@ class ExchangeMove:
     mask: int
     color_a: int
     color_b: int
-    count_a: int
-    count_b: int
     delta: int
 
     def vertices(self) -> tuple[int, ...]:
-        out, m = [], self.mask
-        while m:
-            low = m & -m
-            out.append(low.bit_length() - 1)
-            m ^= low
-        return tuple(out)
+        return tuple(bits(self.mask))
 
 
 @dataclass(frozen=True)
@@ -126,10 +121,8 @@ def _pair_exchanges(coloring: Coloring, graph: Graph, color_a: int, color_b: int
     moves = []
     for comp in graph.component_masks(union):
         if comp & (comp - 1):  # at least two vertices
-            count_a = (comp & mask_a).bit_count()
-            count_b = comp.bit_count() - count_a
-            delta = (color_b - color_a) * (count_a - count_b)
-            moves.append(ExchangeMove(comp, color_a, color_b, count_a, count_b, delta))
+            delta = (color_b - color_a) * (2 * (comp & mask_a).bit_count() - comp.bit_count())
+            moves.append(ExchangeMove(comp, color_a, color_b, delta))
     return moves
 
 
@@ -156,6 +149,32 @@ def enumerate_relocate_moves(coloring: Coloring, graph: Graph) -> list[RelocateM
     return moves
 
 
+def reservoir_min(candidates: Iterable[tuple[float, T]], rng: random.Random) -> T | None:
+    """Item of the smallest key among ``(key, item)`` pairs, ties broken
+    uniformly at random by reservoir sampling; None when there are none.
+
+    The i-th candidate tied with the smallest key so far (i >= 2) replaces
+    the pick with probability 1/i, at the cost of one ``rng.random()``
+    draw; no other candidate draws.  The hot selection loops inline this
+    rule and must keep its draws identical.
+    """
+    chosen = None
+    best = None
+    ties = 0
+    for key, item in candidates:
+        if ties and key > best:
+            continue
+        if not ties or key < best:
+            best = key
+            chosen = item
+            ties = 1
+        else:
+            ties += 1
+            if rng.random() * ties < 1.0:
+                chosen = item
+    return chosen
+
+
 def select_move(
     moves: Iterable[Move],
     tabu: TabuState,
@@ -167,28 +186,16 @@ def select_move(
     ``best_sum``); ties broken uniformly at random.  None when blocked."""
     at = tabu.iteration + 1
     aspire_gap = best_sum - current_sum
-    chosen = None
-    best_delta = None
-    ties = 0
-    for move in moves:
-        delta = move.delta
-        if best_delta is not None and delta > best_delta:
-            continue
+
+    def is_tabu(move: Move) -> bool:
         if isinstance(move, RelocateMove):
-            is_tabu = tabu.relocate_tabu(move.vertex, move.source, move.target, at)
-        else:
-            is_tabu = tabu.exchange_tabu(move.color_a, move.color_b, at)
-        if is_tabu and delta >= aspire_gap:
-            continue
-        if best_delta is None or delta < best_delta:
-            best_delta = delta
-            chosen = move
-            ties = 1
-        else:
-            ties += 1
-            if rng.random() * ties < 1.0:
-                chosen = move
-    return chosen
+            return tabu.relocate_tabu(move.vertex, move.source, move.target, at)
+        return tabu.exchange_tabu(move.color_a, move.color_b, at)
+
+    return reservoir_min(
+        ((move.delta, move) for move in moves if move.delta < aspire_gap or not is_tabu(move)),
+        rng,
+    )
 
 
 def apply_move(coloring: Coloring, move: Move, tabu: TabuState, rng: random.Random) -> None:
@@ -268,7 +275,6 @@ class TabuSearchRun:
         self.on_improve = on_improve
         self.tabu = TabuState()
         self.best = coloring.copy()
-        self.best_sum = coloring.sum
         self.stall = 0
         self._set_current(coloring.copy())
 
@@ -313,22 +319,17 @@ class TabuSearchRun:
             if move is not None:
                 self._apply(move)
             self.tabu.iteration = at
-            if move is not None and self.current.sum < self.best_sum:
-                self.best_sum = self.current.sum
+            if move is not None and self.current.sum < self.best.sum:
                 self.best = self.current.copy()
                 idle = 0
                 self.stall = 0
                 if self.on_improve is not None:
-                    self.on_improve(self.best_sum, at)
+                    self.on_improve(self.best.sum, at)
             else:
                 idle += 1
                 self.stall += 1
             if self.validate:
                 self._check_state()
-
-    def perturb_step(self) -> None:
-        self._set_current(perturb(self.best, self.tabu, self.rng))
-        self.stall = 0
 
     def _apply(self, move: Move) -> None:
         free = self.free
@@ -337,6 +338,7 @@ class TabuSearchRun:
         masks = self.current.class_masks
         apply_move(self.current, move, self.tabu, self.rng)
         if isinstance(move, RelocateMove):
+            changed_a, changed_b = move.source, move.target
             # neighbors lose the target; they gain the source once it holds
             # none of their neighbors
             source_mask = masks[move.source - 1]
@@ -352,6 +354,7 @@ class TabuSearchRun:
             isolated[move.target - 1] &= ~adj_masks[move.vertex]
             isolated[move.source - 1] |= gained
         else:
+            changed_a, changed_b = move.color_a, move.color_b
             # only neighbors of the swapped component see classes a, b change
             mask_a = masks[move.color_a - 1]
             mask_b = masks[move.color_b - 1]
@@ -359,7 +362,7 @@ class TabuSearchRun:
             bit_b = 1 << (move.color_b - 1)
             keep = ~(bit_a | bit_b)
             touched = 0
-            for v in move.vertices():
+            for v in bits(move.mask):
                 touched |= adj_masks[v]
             iso_a = isolated[move.color_a - 1] & ~touched
             iso_b = isolated[move.color_b - 1] & ~touched
@@ -378,8 +381,8 @@ class TabuSearchRun:
                 touched ^= low
             isolated[move.color_a - 1] = iso_a
             isolated[move.color_b - 1] = iso_b
-        self.class_versions[move.color_a if isinstance(move, ExchangeMove) else move.source] += 1
-        self.class_versions[move.color_b if isinstance(move, ExchangeMove) else move.target] += 1
+        self.class_versions[changed_a] += 1
+        self.class_versions[changed_b] += 1
 
     def _select_relocate(self, at: int) -> RelocateMove | None:
         current = self.current
@@ -390,11 +393,12 @@ class TabuSearchRun:
         vertex_until = self.tabu.vertex_until
         class_until = self.tabu.class_until
         class_active = [class_until.get(c, 0) >= at for c in range(k + 1)] if class_until else None
-        aspire_gap = self.best_sum - current.sum
+        aspire_gap = self.best.sum - current.sum
         chosen = None
         # sentinel above every delta (|target - source| < k)
         best_delta = k
         ties = 0
+        # the tie-break follows reservoir_min draw for draw
         for v in range(self.graph.n):
             source = assignment[v]
             src_tabu = class_active[source] if class_active else False
@@ -434,13 +438,14 @@ class TabuSearchRun:
         pair_until = self.tabu.pair_until
         class_until = self.tabu.class_until
         class_active = [class_until.get(c, 0) >= at for c in range(k + 1)] if class_until else None
-        aspire_gap = self.best_sum - current.sum
+        aspire_gap = self.best.sum - current.sum
         versions = self.class_versions
         chosen = None
         # sentinel above every delta (|b - a| < k, a component has <= n
         # vertices); also the low of a pair without moves
         best_delta = top = k * self.graph.n
         ties = 0
+        # the tie-break follows reservoir_min draw for draw
         nonempty = [c for c in range(1, k + 1) if masks[c - 1]]
         for i, a in enumerate(nonempty):
             version_a = versions[a]
@@ -487,9 +492,7 @@ class TabuSearchRun:
                             chosen = (comp, a, b)
         if chosen is None:
             return None
-        comp, a, b = chosen
-        count_a = (comp & masks[a - 1]).bit_count()
-        return ExchangeMove(comp, a, b, count_a, comp.bit_count() - count_a, best_delta)
+        return ExchangeMove(*chosen, best_delta)
 
     def _check_selection(self, kind: str, move: Move | None, rng_state: tuple) -> None:
         """Cross-check the incremental selection against ``select_move`` over
@@ -501,7 +504,7 @@ class TabuSearchRun:
             moves = enumerate_relocate_moves(self.current, self.graph)
         reference_rng = random.Random()
         reference_rng.setstate(rng_state)
-        reference = select_move(moves, self.tabu, self.best_sum, self.current.sum, reference_rng)
+        reference = select_move(moves, self.tabu, self.best.sum, self.current.sum, reference_rng)
         if reference != move:
             raise AssertionError(f"selection mismatch: {reference} vs {move}")
         if reference_rng.getstate() != self.rng.getstate():
@@ -571,7 +574,8 @@ def tabu_search(
         if run.iterations >= params.iteration_budget:
             break
         if run.stall >= params.stall_limit:
-            run.perturb_step()
+            run._set_current(perturb(run.best, run.tabu, rng))
+            run.stall = 0
     if stats is not None:
         stats.iterations += run.iterations
     return canonical_relabel(run.best)

@@ -105,6 +105,7 @@ def _tabucol_attempt(graph: Graph, k: int, params: TabucolParams, rng: random.Ra
         chosen_delta = n
         ties = 0
         aspire_gap = best - conflicts
+        # the tie-break follows reservoir_min draw for draw
         for v in range(n):
             row = counts[v]
             own = colors[v] - 1

@@ -69,7 +69,7 @@ def test_criterion_1_small_instance_exact_sums():
         if not available(record):
             skipped.append(name)
             continue
-        report = run_instance(record, mode="masc", runs=10, base_seed=1, target=best)
+        report = run_instance(record, mode="masc", runs=10, base_seed=1, target=best, jobs=2)
         sums = report.sums()
         assert sums == [best] * 10, f"{name}: expected all runs at {best}, got {sums}"
         assert all(row.wall_seconds < 120 for row in report.rows), f"{name}: run over two minutes"
@@ -93,7 +93,7 @@ def test_criterion_2_medium_instances_within_time_limit():
         # Per-run hit rate on queen8.8 is about 0.83 (50/60 across base seeds
         # 1-3), so a pinned 10-run sample can draw 7; base seed 2 is pinned
         # for a deterministic pass, not because other seeds were hidden.
-        report = run_instance(record, mode="masc", runs=10, base_seed=2, target=best)
+        report = run_instance(record, mode="masc", runs=10, base_seed=2, target=best, jobs=2)
         hits = sum(1 for row in report.rows if row.sum == best)
         assert all(row.wall_seconds < 900 for row in report.rows), f"{name}: run over 15 minutes"
         assert hits >= 8, f"{name}: only {hits}/10 runs reached {best}"
@@ -241,8 +241,7 @@ def test_criterion_5b_incremental_sum_over_1e5_moves(queen5_5):
             comp = rng.choice(comps)
             count_a = (comp & mask_a).bit_count()
             count_b = comp.bit_count() - count_a
-            move = ExchangeMove(comp, a, b, count_a, count_b,
-                                (b - a) * (count_a - count_b))
+            move = ExchangeMove(comp, a, b, (b - a) * (count_a - count_b))
         apply_move(coloring, move, tabu, rng)
         expected += move.delta
         applied += 1

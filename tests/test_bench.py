@@ -272,6 +272,12 @@ def test_run_instance_rejects_bad_arguments(myciel3):
         run_instance(record, jobs=0, graph=myciel3)
 
 
+@pytest.mark.parametrize("mode", ["dnts", "ts-n1", "ts-n2"])
+def test_run_instance_rejects_target_outside_masc(myciel3, mode):
+    with pytest.raises(ValueError, match="target applies only to mode 'masc'"):
+        run_instance(myciel3_record(), mode=mode, graph=myciel3, target=21)
+
+
 def test_default_params_widen_single_mode_budget():
     assert default_params("masc").tabu.iteration_budget == TabuSearchParams().iteration_budget
     for mode in ("dnts", "ts-n1", "ts-n2"):

@@ -104,6 +104,12 @@ def test_solve_reports_parse_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_solve_rejects_target_outside_masc(capsys):
+    assert main(["solve", myciel3_path(), "--mode", "dnts", "--target", "21", *QUICK]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "target applies only to mode 'masc'" in err
+
+
 def test_solve_missing_file_fails_cleanly(capsys):
     assert main(["solve", "/no/such/file.col"]) == 1
     assert "error:" in capsys.readouterr().err

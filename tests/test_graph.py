@@ -3,7 +3,7 @@ import random
 import pytest
 
 from sumcol import Graph
-from sumcol.graph import DimacsParseError, connected_components, parse_dimacs, to_dimacs
+from sumcol.graph import DimacsParseError, bits, parse_dimacs, to_dimacs
 
 import oracles
 
@@ -97,6 +97,11 @@ def test_roundtrip_random_graphs():
         assert set(again.edges()) == set(g.edges())
 
 
+def components(g, subset):
+    """Components of the subgraph induced by ``subset``, as vertex sets."""
+    return [set(bits(m)) for m in g.component_masks(sum(1 << v for v in subset))]
+
+
 def test_components_against_union_find():
     rng = random.Random(7)
     for _ in range(30):
@@ -104,18 +109,18 @@ def test_components_against_union_find():
         edges = oracles.random_gnp(n, 0.25, rng)
         g = Graph.from_edges(n, edges)
         subset = [v for v in range(n) if rng.random() < 0.7]
-        ours = connected_components(g, subset)
+        ours = components(g, subset)
         reference = oracles.union_find_components(n, edges, subset)
         assert {frozenset(c) for c in ours} == set(reference)
 
 
 def test_components_ordered_by_smallest_member():
     g = Graph.from_edges(6, [(0, 5), (1, 2)])
-    comps = connected_components(g, range(6))
+    comps = components(g, range(6))
     assert comps == [{0, 5}, {1, 2}, {3}, {4}]
 
 
 def test_empty_graph():
     g = parse_dimacs("p edge 0 0\n")
     assert g.n == 0 and g.edge_count == 0
-    assert connected_components(g, []) == []
+    assert components(g, []) == []

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -11,6 +12,7 @@ from sumcol.tabu_search import (
     enumerate_exchange_moves,
     enumerate_relocate_moves,
     perturb,
+    reservoir_min,
     select_move,
 )
 
@@ -64,10 +66,12 @@ def test_exchange_move_counts_are_consistent():
         for m in enumerate_exchange_moves(coloring, graph):
             members = m.vertices()
             in_a = sum(1 for v in members if coloring.assignment[v] == m.color_a)
-            assert m.count_a == in_a
-            assert m.count_b == len(members) - in_a
-            assert m.count_a >= 1 and m.count_b >= 1
-            assert m.delta == (m.color_b - m.color_a) * (m.count_a - m.count_b)
+            count_a = (m.mask & coloring.class_masks[m.color_a - 1]).bit_count()
+            count_b = (m.mask & coloring.class_masks[m.color_b - 1]).bit_count()
+            assert count_a == in_a
+            assert count_b == len(members) - in_a
+            assert count_a >= 1 and count_b >= 1
+            assert m.delta == (m.color_b - m.color_a) * (count_a - count_b)
 
 
 def test_relocate_moves_match_oracle():
@@ -175,6 +179,25 @@ def test_select_move_breaks_ties_uniformly():
     for _ in range(400):
         picks[select_move([a, b], TabuState(), 10, 10, rng)] += 1
     assert picks[a] > 120 and picks[b] > 120
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_reservoir_min_draws_once_per_tie_and_picks_uniformly(m):
+    assert reservoir_min([], random.Random(0)) is None
+    tied = [(-1, f"t{i}") for i in range(m)]
+    # a larger key before the minimum and after it, neither tied
+    candidates = [(4, "before")] + tied[:1] + [(2, "after")] + tied[1:]
+    for seed in range(5):
+        rng, reference = random.Random(seed), random.Random(seed)
+        assert reservoir_min(candidates, rng) in {item for _, item in tied}
+        for _ in range(m - 1):
+            reference.random()
+        assert rng.getstate() == reference.getstate()
+    seeds = 2000
+    picks = Counter(reservoir_min(candidates, random.Random(seed)) for seed in range(seeds))
+    assert set(picks) == {item for _, item in tied}
+    for count in picks.values():
+        assert abs(count / seeds - 1 / m) < 0.04
 
 
 def test_perturb_splits_largest_class():
