@@ -50,10 +50,12 @@ _NEIGHBORHOODS = {
     TS_N2: (RELOCATE,),
 }
 
-CSV_COLUMNS = (
-    "name", "n", "m", "best_known", "mode", "sum_best", "k_best",
-    "sr", "avg", "sigma", "time_min", "runs", "seed",
-)
+# CSV column -> field of the report summary it shows.
+CSV_COLUMNS = {
+    "name": "name", "n": "n", "m": "m", "best_known": "best_known", "mode": "mode",
+    "sum_best": "sum_best", "k_best": "k_best", "sr": "success_rate", "avg": "average",
+    "sigma": "sigma", "time_min": "time_minutes", "runs": "runs", "seed": "base_seed",
+}
 
 _MASK64 = (1 << 64) - 1
 
@@ -172,11 +174,7 @@ class RunRow:
 
 @dataclass
 class RunReport:
-    name: str
-    n: int
-    m: int
-    best_known: int | None
-    bound_exact: bool | None
+    record: InstanceRecord
     mode: str
     base_seed: int
     rows: list[RunRow]
@@ -192,17 +190,14 @@ class RunReport:
 
     @property
     def k_best(self) -> int:
-        best = self.sum_best
-        for row in self.rows:
-            if row.sum == best:
-                return row.k
-        raise AssertionError("unreachable")
+        return min(self.rows, key=lambda row: row.sum).k
 
     @property
     def success_rate(self) -> float | None:
-        if self.best_known is None:
+        best_known = self.record.best_known
+        if best_known is None:
             return None
-        hits = sum(1 for row in self.rows if row.sum <= self.best_known)
+        hits = sum(1 for row in self.rows if row.sum <= best_known)
         return hits / len(self.rows)
 
     @property
@@ -243,7 +238,7 @@ def _run_once(
         best_at = time.perf_counter() - started
 
     if mode == MASC:
-        best, best_sum = memetic_search(
+        best = memetic_search(
             graph, params, rng,
             warm_start=warm_start, target=target, validate=validate,
             on_improve=note, stats=stats,
@@ -256,9 +251,8 @@ def _run_once(
             neighborhoods=_NEIGHBORHOODS[mode], validate=validate,
             on_improve=note, stats=stats,
         )
-        best_sum = best.sum
     wall = time.perf_counter() - started
-    row = RunRow(seed=seed, sum=best_sum, k=best.k, iterations=stats.iterations,
+    row = RunRow(seed=seed, sum=best.sum, k=best.k, iterations=stats.iterations,
                  wall_seconds=wall, best_seconds=best_at)
     return row, list(best.assignment)
 
@@ -306,9 +300,7 @@ def run_instance(
     rows = [row for row, _ in results]
     best_index = min(range(len(rows)), key=lambda i: (rows[i].sum, i))
     return RunReport(
-        name=record.name, n=record.n, m=record.m,
-        best_known=record.best_known, bound_exact=record.bound_exact,
-        mode=mode, base_seed=base_seed, rows=rows,
+        record=record, mode=mode, base_seed=base_seed, rows=rows,
         best_assignment=results[best_index][1],
     )
 
@@ -353,8 +345,45 @@ def welch_t_test(sample_a: Sequence[float], sample_b: Sequence[float]) -> WelchT
     return WelchTestResult(stat, df, p_value, p_value < 0.05, False)
 
 
-def compare_sums(report_a: RunReport, report_b: RunReport) -> WelchTestResult:
-    return welch_t_test(report_a.sums(), report_b.sums())
+def _summary(report: RunReport, include_times: bool) -> dict:
+    """One report as the JSON object it is written as; wall-clock fields
+    stay None unless ``include_times`` is set."""
+    record = report.record
+    return {
+        "name": record.name,
+        "n": record.n,
+        "m": record.m,
+        "best_known": record.best_known,
+        "bound_exact": record.bound_exact,
+        "mode": report.mode,
+        "runs": report.runs,
+        "base_seed": report.base_seed,
+        "sum_best": report.sum_best,
+        "k_best": report.k_best,
+        "success_rate": report.success_rate,
+        "average": report.average,
+        "sigma": report.sigma,
+        "time_minutes": report.time_minutes if include_times else None,
+        "rows": [
+            {
+                "seed": row.seed,
+                "sum": row.sum,
+                "k": row.k,
+                "iterations": row.iterations,
+                "wall_seconds": row.wall_seconds if include_times else None,
+                "best_seconds": row.best_seconds if include_times else None,
+            }
+            for row in report.rows
+        ],
+    }
+
+
+def _csv_cell(value: object) -> object:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return f"{value:.2f}"
+    return value
 
 
 def render_report(
@@ -364,83 +393,19 @@ def render_report(
 ) -> str:
     """Serialize reports to a CSV or JSON string.
 
-    Identical inputs yield identical bytes: timing columns that depend on
-    the wall clock stay null (JSON) or empty (CSV) unless ``include_times``
-    is set.
+    Both formats show the same per-report summary; a CSV row holds its
+    fields named in CSV_COLUMNS.  Identical inputs yield identical bytes:
+    timing columns that depend on the wall clock stay null (JSON) or empty
+    (CSV) unless ``include_times`` is set.
     """
-    if fmt == "csv":
-        return _render_csv(reports, include_times)
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown report format {fmt!r}")
+    summaries = [_summary(report, include_times) for report in reports]
     if fmt == "json":
-        return _render_json(reports, include_times)
-    raise ValueError(f"unknown report format {fmt!r}")
-
-
-def _render_csv(reports: Sequence[RunReport], include_times: bool) -> str:
+        return json.dumps({"reports": summaries}, indent=2) + "\n"
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for report in reports:
-        sr = report.success_rate
-        writer.writerow([
-            report.name,
-            report.n,
-            report.m,
-            "" if report.best_known is None else report.best_known,
-            report.mode,
-            report.sum_best,
-            report.k_best,
-            "" if sr is None else f"{sr:.2f}",
-            f"{report.average:.2f}",
-            f"{report.sigma:.2f}",
-            f"{report.time_minutes:.2f}" if include_times else "",
-            report.runs,
-            report.base_seed,
-        ])
+    for summary in summaries:
+        writer.writerow([_csv_cell(summary[field]) for field in CSV_COLUMNS.values()])
     return out.getvalue()
-
-
-def _render_json(reports: Sequence[RunReport], include_times: bool) -> str:
-    payload = {
-        "reports": [
-            {
-                "name": report.name,
-                "n": report.n,
-                "m": report.m,
-                "best_known": report.best_known,
-                "bound_exact": report.bound_exact,
-                "mode": report.mode,
-                "runs": report.runs,
-                "base_seed": report.base_seed,
-                "sum_best": report.sum_best,
-                "k_best": report.k_best,
-                "success_rate": report.success_rate,
-                "average": report.average,
-                "sigma": report.sigma,
-                "time_minutes": report.time_minutes if include_times else None,
-                "rows": [
-                    {
-                        "seed": row.seed,
-                        "sum": row.sum,
-                        "k": row.k,
-                        "iterations": row.iterations,
-                        "wall_seconds": row.wall_seconds if include_times else None,
-                        "best_seconds": row.best_seconds if include_times else None,
-                    }
-                    for row in report.rows
-                ],
-            }
-            for report in reports
-        ]
-    }
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def write_report(
-    reports: Sequence[RunReport],
-    path: str,
-    fmt: str = "csv",
-    include_times: bool = False,
-) -> None:
-    text = render_report(reports, fmt, include_times)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)

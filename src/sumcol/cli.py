@@ -16,16 +16,14 @@ from .bench import (
     MASC,
     MODES,
     InstanceRecord,
-    ManifestError,
     default_params,
     load_instance,
     load_manifest,
     render_report,
     run_instance,
-    write_report,
 )
-from .coloring import Coloring, ColoringFormatError, load_coloring, save_coloring
-from .graph import DimacsParseError, load_dimacs
+from .coloring import Coloring, load_coloring, save_coloring
+from .graph import load_dimacs
 from .memetic import MemeticParams
 from .tabucol import PopulationInitError
 
@@ -107,10 +105,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(reports, args) -> None:
+    text = render_report(reports, args.format, include_times=args.times)
     if args.out:
-        write_report(reports, args.out, args.format, include_times=args.times)
+        with open(args.out, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
     else:
-        sys.stdout.write(render_report(reports, args.format, include_times=args.times))
+        sys.stdout.write(text)
 
 
 def _cmd_solve(args) -> int:
@@ -132,7 +132,7 @@ def _cmd_solve(args) -> int:
     print(f"best sum {report.sum_best} with {report.k_best} colors; "
           f"avg {report.average:.2f}, sigma {report.sigma:.2f}", file=sys.stderr)
     if report.success_rate is not None:
-        print(f"success rate {report.success_rate:.2f} against {report.best_known}",
+        print(f"success rate {report.success_rate:.2f} against {record.best_known}",
               file=sys.stderr)
     _emit([report], args)
     if args.save_best:
@@ -176,8 +176,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "solve":
             return _cmd_solve(args)
         return _cmd_bench(args)
-    except (DimacsParseError, ColoringFormatError, ManifestError,
-            PopulationInitError, FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError, PopulationInitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -30,9 +30,6 @@ class ParseDiagnostics:
     self_loops: int = 0
     duplicate_edges: int = 0
 
-    def clean(self) -> bool:
-        return self.self_loops == 0 and self.duplicate_edges == 0
-
 
 class Graph:
     """Immutable undirected simple graph on vertices 0..n-1."""
@@ -73,12 +70,6 @@ class Graph:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         return cls(n, masks, diagnostics)
-
-    def adjacent(self, u: int, v: int) -> bool:
-        return bool(self.adj_masks[u] >> v & 1)
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj_lists[v]
 
     def degree(self, v: int) -> int:
         return len(self.adj_lists[v])

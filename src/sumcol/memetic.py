@@ -186,8 +186,8 @@ def memetic_search(
     on_improve: Callable[[int], None] | None = None,
     on_generation: Callable[[int, Population, int], None] | None = None,
     stats: SearchStats | None = None,
-) -> tuple[Coloring, int]:
-    """Full memetic run; returns (best coloring, its sum).
+) -> Coloring:
+    """Full memetic run; returns the best coloring found.
 
     ``warm_start`` injects one externally supplied proper coloring into the
     initial population.  ``target`` stops the run as soon as the best sum
@@ -196,18 +196,15 @@ def memetic_search(
     fires with each new best sum (including the initial one),
     ``on_generation`` after each population update.
     """
-    if warm_start is not None:
-        if not is_proper(warm_start, graph):
-            raise ValueError("warm start coloring is not proper")
-        warm_start = canonical_relabel(warm_start)
+    if warm_start is not None and not is_proper(warm_start, graph):
+        raise ValueError("warm start coloring is not proper")
     members = generate_population(graph, params.population_size, params.init, rng, include=warm_start)
     population = Population(members)
-    best = population.best().copy()
-    best_sum = best.sum
+    best = population.best()
     if on_improve is not None:
-        on_improve(best_sum)
+        on_improve(best.sum)
     for generation in range(1, params.max_generations + 1):
-        if target is not None and best_sum <= target:
+        if target is not None and best.sum <= target:
             break
         smallest_k = min(m.k for m in population.members)
         count = min(choose_parent_count(graph.n, smallest_k), len(population))
@@ -216,12 +213,11 @@ def memetic_search(
         improved = tabu_search(
             child, graph, params.tabu, rng, validate=validate, stats=stats
         )
-        if improved.sum < best_sum:
-            best = improved.copy()
-            best_sum = improved.sum
+        if improved.sum < best.sum:
+            best = improved
             if on_improve is not None:
-                on_improve(best_sum)
+                on_improve(best.sum)
         update_population(population, improved, rng, params.replace_second_worst_probability)
         if on_generation is not None:
-            on_generation(generation, population, best_sum)
-    return best, best_sum
+            on_generation(generation, population, best.sum)
+    return best

@@ -62,9 +62,6 @@ class ExchangeMove:
     color_b: int
     delta: int
 
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(bits(self.mask))
-
 
 @dataclass(frozen=True)
 class RelocateMove:

@@ -29,6 +29,7 @@ from sumcol import (
 )
 from sumcol.bench import InstanceRecord, load_instance, load_manifest, render_report
 from sumcol.coloring import canonical_relabel
+from sumcol.graph import bits
 from sumcol.memetic import partition_crossover
 from sumcol.tabu_search import (
     ExchangeMove,
@@ -169,8 +170,7 @@ def _masc_exact_sum(graph, seed, target):
     for size in (10, 5, 3, 2):
         try:
             params = MemeticParams(population_size=size)
-            _, best_sum = memetic_search(graph, params, random.Random(seed), target=target)
-            return best_sum
+            return memetic_search(graph, params, random.Random(seed), target=target).sum
         except PopulationInitError:
             continue
     # fewer than two distinct partitions reachable: the descent result is it
@@ -204,9 +204,9 @@ def test_criterion_5a_properness_everywhere(myciel3):
         tabu=TabuSearchParams(exchange_idle_limit=40, relocate_idle_limit=80,
                               stall_limit=150, iteration_budget=1000),
     )
-    improved, best_sum = memetic_search(myciel3, params, rng, validate=True)
+    improved = memetic_search(myciel3, params, rng, validate=True)
     assert is_proper(improved, myciel3)
-    assert best_sum == improved.sum
+    assert improved.sum == sum(improved.assignment)
     print("criterion 5a (properness maintained everywhere): PASS "
           "(validated run, per-iteration checks)")
 
@@ -265,7 +265,7 @@ def test_criterion_5c_exchange_moves_match_oracle_on_100_pairs():
         assignment = oracles.random_proper_assignment(n, edges, rng)
         coloring = Coloring.from_assignment(assignment)
         ours = {
-            (frozenset(m.vertices()), m.color_a, m.color_b, m.delta)
+            (frozenset(bits(m.mask)), m.color_a, m.color_b, m.delta)
             for m in enumerate_exchange_moves(coloring, graph)
         }
         assert ours == oracles.naive_exchange_moves(n, edges, assignment)

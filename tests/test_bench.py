@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -18,12 +19,10 @@ from sumcol.bench import (
     ManifestError,
     RunReport,
     RunRow,
-    compare_sums,
     default_params,
     load_instance,
     load_manifest,
     render_report,
-    write_report,
 )
 
 from conftest import instance_path
@@ -156,8 +155,9 @@ def synthetic_report():
         RunRow(seed=103, sum=21, k=4, iterations=600, wall_seconds=1.0, best_seconds=1.2),
         RunRow(seed=104, sum=25, k=5, iterations=600, wall_seconds=1.0, best_seconds=0.1),
     ]
-    return RunReport(name="toy", n=11, m=20, best_known=21, bound_exact=True,
-                     mode="masc", base_seed=9, rows=rows)
+    record = InstanceRecord(name="toy", path="toy.col", n=11, m=20,
+                            best_known=21, bound_exact=True)
+    return RunReport(record=record, mode="masc", base_seed=9, rows=rows)
 
 
 def test_report_summary_math():
@@ -176,7 +176,7 @@ def test_report_summary_math():
 
 def test_report_without_reference_has_no_success_rate():
     report = synthetic_report()
-    report.best_known = None
+    report.record = replace(report.record, best_known=None)
     assert report.success_rate is None
 
 
@@ -187,13 +187,20 @@ def test_csv_report_layout():
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert lines[1] == "toy,11,20,21,masc,21,4,0.50,22.50,1.66,,4,9"
     with_times = render_report([synthetic_report()], "csv", include_times=True)
-    assert with_times.splitlines()[1].split(",")[10] == "0.01"
+    assert with_times.splitlines()[1] == "toy,11,20,21,masc,21,4,0.50,22.50,1.66,0.01,4,9"
 
 
 def test_json_report_layout():
     report = synthetic_report()
     payload = json.loads(render_report([report], "json"))
     (entry,) = payload["reports"]
+    assert list(entry) == [
+        "name", "n", "m", "best_known", "bound_exact", "mode", "runs", "base_seed",
+        "sum_best", "k_best", "success_rate", "average", "sigma", "time_minutes", "rows",
+    ]
+    assert list(entry["rows"][0]) == [
+        "seed", "sum", "k", "iterations", "wall_seconds", "best_seconds",
+    ]
     assert entry["name"] == "toy"
     assert entry["sum_best"] == 21 and entry["k_best"] == 4
     assert entry["success_rate"] == pytest.approx(0.5)
@@ -208,12 +215,6 @@ def test_json_report_layout():
 def test_render_report_rejects_unknown_format():
     with pytest.raises(ValueError, match="format"):
         render_report([synthetic_report()], "xml")
-
-
-def test_write_report_roundtrip(tmp_path):
-    path = tmp_path / "out.json"
-    write_report([synthetic_report()], str(path), "json")
-    assert json.loads(path.read_text())["reports"][0]["name"] == "toy"
 
 
 # ------------------------------------------------------------- batch runs
@@ -284,9 +285,9 @@ def test_default_params_widen_single_mode_budget():
         assert default_params(mode).tabu.iteration_budget == 500_000
 
 
-def test_compare_sums_wraps_the_welch_test():
+def test_welch_t_test_on_report_sums():
     a = synthetic_report()
     b = synthetic_report()
-    result = compare_sums(a, b)
+    result = welch_t_test(a.sums(), b.sums())
     assert result.statistic == 0.0
     assert not result.significant

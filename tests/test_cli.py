@@ -67,6 +67,14 @@ def test_solve_writes_csv_report(tmp_path, capsys):
     assert "best sum 21" in err
 
 
+def test_solve_writes_json_report_to_out(tmp_path):
+    out = tmp_path / "report.json"
+    code = main(["solve", myciel3_path(), "--runs", "1", "--seed", "2",
+                 "--target", "21", "--format", "json", "--out", str(out), *QUICK])
+    assert code == 0
+    assert json.loads(out.read_text())["reports"][0]["name"] == "myciel3"
+
+
 def test_solve_prints_report_to_stdout(capsys):
     code = main(["solve", myciel3_path(), "--runs", "1", "--seed", "2",
                  "--target", "21", "--format", "json", *QUICK])
@@ -110,9 +118,21 @@ def test_solve_rejects_target_outside_masc(capsys):
     assert err.startswith("error: ") and "target applies only to mode 'masc'" in err
 
 
-def test_solve_missing_file_fails_cleanly(capsys):
-    assert main(["solve", "/no/such/file.col"]) == 1
-    assert "error:" in capsys.readouterr().err
+@pytest.mark.parametrize("case", ["missing", "solve", "bench", "--out", "--save-best", "--warm-start"])
+def test_solve_missing_file_fails_cleanly(tmp_path, capsys, case):
+    """A missing file, or a directory where a file belongs, is an OS error
+    reported on one line, without a traceback."""
+    if case == "missing":
+        argv = ["solve", "/no/such/file.col"]
+    elif case in ("solve", "bench"):
+        argv = [case, str(tmp_path)]
+    else:
+        argv = ["solve", myciel3_path(), "--runs", "1", "--target", "21",
+                case, str(tmp_path), *QUICK]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert any(line.startswith("error: ") for line in err.splitlines())
+    assert "Traceback" not in err
 
 
 def test_bench_runs_manifest(tmp_path, capsys):

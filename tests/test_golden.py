@@ -60,14 +60,14 @@ def _run_masc(graph) -> dict:
     improvements: list[int] = []
     generations: list[list[int]] = []
     stats = SearchStats()
-    best, best_sum = memetic_search(
+    best = memetic_search(
         graph, params, random.Random(SEED),
         on_improve=improvements.append,
         on_generation=lambda _g, pop, _best: generations.append([m.sum for m in pop.members]),
         stats=stats,
     )
     return {"improvements": improvements, "generations": generations,
-            "iterations": stats.iterations, "sum": best_sum, "assignment": best.assignment}
+            "iterations": stats.iterations, "sum": best.sum, "assignment": best.assignment}
 
 
 def _run_single(graph, mode: str) -> dict:

@@ -112,8 +112,8 @@ def test_update_population_worst_offspring_needs_the_coin():
 
 
 def test_memetic_search_reaches_known_optimum(myciel3):
-    best, best_sum = memetic_search(myciel3, quick_params(), random.Random(4), target=21)
-    assert best_sum == 21 == best.sum
+    best = memetic_search(myciel3, quick_params(), random.Random(4), target=21)
+    assert best.sum == 21 == sum(best.assignment)
     assert is_proper(best, myciel3)
     assert best.assignment == canonical_relabel(best).assignment
 
@@ -130,14 +130,14 @@ def test_memetic_search_callbacks_and_stats(myciel4):
         assert len(keys) == 4
 
     params = quick_params(population_size=4, max_generations=5)
-    best, best_sum = memetic_search(
+    best = memetic_search(
         myciel4, params, random.Random(12),
         on_improve=improvements.append, on_generation=on_gen, stats=stats,
     )
     assert generations == [1, 2, 3, 4, 5]
-    assert improvements[0] >= best_sum
+    assert improvements[0] >= best.sum
     assert improvements == sorted(improvements, reverse=True)
-    assert improvements[-1] == best_sum
+    assert improvements[-1] == best.sum
     assert stats.iterations == 5 * params.tabu.iteration_budget
 
 
@@ -150,14 +150,14 @@ def test_memetic_search_target_stops_early(myciel3):
 
 def test_memetic_search_warm_start(myciel3):
     rng = random.Random(30)
-    warm, warm_sum = memetic_search(myciel3, quick_params(max_generations=2), rng)
+    warm = memetic_search(myciel3, quick_params(max_generations=2), rng)
     improvements = []
-    best, best_sum = memetic_search(
+    best = memetic_search(
         myciel3, quick_params(max_generations=2), rng,
         warm_start=warm, on_improve=improvements.append,
     )
-    assert best_sum <= warm_sum
-    assert improvements[0] <= warm_sum  # warm member bounds the initial best
+    assert best.sum <= warm.sum
+    assert improvements[0] <= warm.sum  # warm member bounds the initial best
 
 
 def test_memetic_search_rejects_improper_warm_start(myciel3):

@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from sumcol import Coloring, Graph, is_proper
+from sumcol.graph import bits
 from sumcol.tabu_search import (
     ExchangeMove,
     RelocateMove,
@@ -33,7 +34,7 @@ def test_exchange_moves_match_oracle():
     for _ in range(40):
         graph, edges, coloring = random_pair(rng)
         ours = {
-            (frozenset(m.vertices()), m.color_a, m.color_b, m.delta)
+            (frozenset(bits(m.mask)), m.color_a, m.color_b, m.delta)
             for m in enumerate_exchange_moves(coloring, graph)
         }
         reference = oracles.naive_exchange_moves(graph.n, edges, coloring.assignment)
@@ -64,7 +65,7 @@ def test_exchange_move_counts_are_consistent():
     for _ in range(20):
         graph, _, coloring = random_pair(rng)
         for m in enumerate_exchange_moves(coloring, graph):
-            members = m.vertices()
+            members = tuple(bits(m.mask))
             in_a = sum(1 for v in members if coloring.assignment[v] == m.color_a)
             count_a = (m.mask & coloring.class_masks[m.color_a - 1]).bit_count()
             count_b = (m.mask & coloring.class_masks[m.color_b - 1]).bit_count()
@@ -107,7 +108,7 @@ def test_exchange_is_self_inverse():
     graph = Graph.from_edges(3, [(0, 1), (1, 2)])
     coloring = Coloring.from_assignment([1, 2, 1])
     (move,) = enumerate_exchange_moves(coloring, graph)
-    assert move.vertices() == (0, 1, 2)
+    assert tuple(bits(move.mask)) == (0, 1, 2)
     rng = random.Random(0)
     apply_move(coloring, move, TabuState(), rng)
     assert coloring.assignment == [2, 1, 2]
