@@ -104,6 +104,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_output_path(option: str, path: str | None) -> None:
+    """Refuse an output path before any run: a directory, or a file whose
+    parent directory does not exist."""
+    if path is None:
+        return
+    if os.path.isdir(path):
+        raise ValueError(f"{option} {path!r} is a directory")
+    parent = os.path.dirname(path)
+    if parent and not os.path.isdir(parent):
+        raise ValueError(f"{option} {path!r}: no directory {parent!r}")
+
+
 def _emit(reports, args) -> None:
     text = render_report(reports, args.format, include_times=args.times)
     if args.out:
@@ -114,6 +126,8 @@ def _emit(reports, args) -> None:
 
 
 def _cmd_solve(args) -> int:
+    _check_output_path("--out", args.out)
+    _check_output_path("--save-best", args.save_best)
     graph = load_dimacs(args.file)
     name = os.path.splitext(os.path.basename(args.file))[0]
     record = InstanceRecord(
@@ -134,14 +148,14 @@ def _cmd_solve(args) -> int:
     if report.success_rate is not None:
         print(f"success rate {report.success_rate:.2f} against {record.best_known}",
               file=sys.stderr)
-    _emit([report], args)
     if args.save_best:
-        best = Coloring.from_assignment(report.best_assignment)
-        save_coloring(args.save_best, best)
+        save_coloring(args.save_best, Coloring.from_assignment(report.best_assignment))
+    _emit([report], args)
     return 0
 
 
 def _cmd_bench(args) -> int:
+    _check_output_path("--out", args.out)
     records = load_manifest(args.manifest)
     missing = [r for r in records if not os.path.exists(r.path)]
     if missing:

@@ -5,6 +5,12 @@ few classes.  This module provides the classical recipe: a greedy bound,
 then tabu search over improper k-colorings (minimizing the number of
 conflicting edges) at decreasing k until the budget stops certifying
 feasibility, then repeated runs at the smallest reached k to fill the pool.
+
+An attempt also gives up after ``_IDLE_LIMIT`` (10,000) iterations without
+a new fewest-conflicts count: the ``nbmax`` stopping rule of the original
+TABUCOL (Hertz & de Werra 1987).  A failing attempt reaches its final
+conflict count early and only wanders after it, so the rule mostly cuts
+the last, infeasible k of the descent.
 """
 
 from __future__ import annotations
@@ -14,6 +20,9 @@ from dataclasses import dataclass
 
 from .coloring import Coloring, canonical_relabel
 from .graph import Graph
+
+# An attempt fails after this many iterations without a new best conflict count.
+_IDLE_LIMIT = 10_000
 
 
 class PopulationInitError(RuntimeError):
@@ -26,7 +35,11 @@ class TabucolParams:
 
     A recolored vertex may not return to its old class for
     ``tenure_slope * conflicts + uniform{0..tenure_base}`` iterations, with
-    ``conflicts`` the conflicting-edge count after the move.
+    ``conflicts`` the conflicting-edge count after the move.  An attempt
+    ends after ``iteration_budget`` iterations, or after 10,000 iterations
+    without a new best conflict count (Hertz & de Werra's ``nbmax`` rule),
+    whichever comes first; a budget above 10,000 therefore caps only
+    attempts that keep improving.
     """
 
     iteration_budget: int = 100_000
@@ -63,7 +76,9 @@ def tabucol(graph: Graph, k: int, params: TabucolParams, rng: random.Random) -> 
     """Search for a proper k-coloring; None if none found within budget.
 
     Runs up to ``params.restarts`` attempts from fresh uniform random
-    assignments, each limited to ``params.iteration_budget`` iterations.
+    assignments, each limited to ``params.iteration_budget`` iterations and
+    ended early after ``_IDLE_LIMIT`` (10,000) iterations without a new
+    fewest-conflicts count (Hertz & de Werra's ``nbmax`` rule).
     Moves recolor one endpoint of a conflicting edge; the best (fewest
     resulting conflicts) non-tabu move is taken, ties uniformly at random,
     and a tabu move is allowed when it beats the attempt's best.
@@ -95,6 +110,7 @@ def _tabucol_attempt(graph: Graph, k: int, params: TabucolParams, rng: random.Ra
     if conflicts == 0:
         return Coloring.from_assignment(colors, k=k)
     best = conflicts
+    last_improvement = 0
     tabu_until = [[0] * k for _ in range(n)]
     others = [tuple(c for c in range(k) if c != own) for own in range(k)]
     slope = params.tenure_slope
@@ -139,9 +155,12 @@ def _tabucol_attempt(graph: Graph, k: int, params: TabucolParams, rng: random.Ra
         conflicts += chosen_delta
         tabu_until[v][old] = it + int(slope * conflicts) + rng.randint(0, base)
         if conflicts < best:
+            if conflicts == 0:
+                return Coloring.from_assignment(colors, k=k)
             best = conflicts
-        if conflicts == 0:
-            return Coloring.from_assignment(colors, k=k)
+            last_improvement = it
+        elif it - last_improvement >= _IDLE_LIMIT:
+            return None
     return None
 
 

@@ -118,21 +118,37 @@ def test_solve_rejects_target_outside_masc(capsys):
     assert err.startswith("error: ") and "target applies only to mode 'masc'" in err
 
 
-@pytest.mark.parametrize("case", ["missing", "solve", "bench", "--out", "--save-best", "--warm-start"])
+@pytest.mark.parametrize("case", ["missing", "solve", "bench", "--out", "--save-best", "--warm-start",
+                                  "--out no-parent", "--save-best no-parent", "both", "bench --out"])
 def test_solve_missing_file_fails_cleanly(tmp_path, capsys, case):
-    """A missing file, or a directory where a file belongs, is an OS error
-    reported on one line, without a traceback."""
+    """A missing file, or a directory where a file belongs, is an error
+    reported on one line, without a traceback.  An output path that is a
+    directory or lies in a missing directory is refused before the first
+    run, so neither a report nor a run's progress lines are written."""
+    no_parent = str(tmp_path / "no" / "x.csv")
+    saved = tmp_path / "b.txt"
     if case == "missing":
         argv = ["solve", "/no/such/file.col"]
     elif case in ("solve", "bench"):
         argv = [case, str(tmp_path)]
-    else:
+    elif case == "bench --out":
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(f"myciel3 {myciel3_path()} 11 20 21 exact 4\n")
+        argv = ["bench", str(manifest), "--runs", "1", "--out", str(tmp_path), *QUICK]
+    elif case == "both":
         argv = ["solve", myciel3_path(), "--runs", "1", "--target", "21",
-                case, str(tmp_path), *QUICK]
+                "--out", no_parent, "--save-best", str(saved), *QUICK]
+    else:
+        option, _, where = case.partition(" ")
+        argv = ["solve", myciel3_path(), "--runs", "1", "--target", "21",
+                option, no_parent if where else str(tmp_path), *QUICK]
     assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert any(line.startswith("error: ") for line in err.splitlines())
-    assert "Traceback" not in err
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not saved.exists()
 
 
 def test_bench_runs_manifest(tmp_path, capsys):

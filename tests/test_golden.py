@@ -4,9 +4,12 @@ Each myciel5 case records what a run observably does: every improvement
 event, the population sums after each memetic generation, the iteration
 count, the number of perturbations and the final assignment.  The queen8_8
 case records the same for an exchange-only search on a dense graph, where
-class pairs have large linked components.  The queen6_6 case records a TABUCOL descent on a dense graph whose last attempt fails,
-and the random bits drawn after it, so a change in how failing attempts
-consume the stream shows.  A change that claims to keep the solver's
+class pairs have large linked components.  The queen6_6 case records a
+TABUCOL descent on a dense graph whose last attempt fails, and the random
+bits drawn after it, so a change in how failing attempts consume the
+stream shows.  The myciel4 case records the same for a descent with the
+default parameters, whose failing attempts end by the idle stop rather
+than by their iteration budget.  A change that claims to keep the solver's
 behaviour must leave all of it unchanged.
 
 The data in ``golden/`` is regenerated only on purpose, when a change is
@@ -39,8 +42,12 @@ GOLDEN_PATH = ROOT / "golden" / "myciel5.json"
 INSTANCE_PATH = ROOT.parent / "instances" / "myciel5.col"
 DENSE_GOLDEN_PATH = ROOT / "golden" / "queen8_8.json"
 DENSE_INSTANCE_PATH = ROOT.parent / "instances" / "queen8_8.col"
-DESCENT_GOLDEN_PATH = ROOT / "golden" / "queen6_6.json"
-DESCENT_INSTANCE_PATH = ROOT.parent / "instances" / "queen6_6.col"
+DESCENT_CASES = {
+    # k = 9, 8 and 7 succeed, then both restarts at k = 6 exhaust their budget
+    "queen6_6": TabucolParams(iteration_budget=3000, restarts=2),
+    # k = 5 succeeds, then all three restarts at k = 4 end by the idle stop
+    "myciel4": TabucolParams(),
+}
 
 INIT = TabucolParams(iteration_budget=2000, restarts=1)
 # Short phases and a low stall limit make perturbation fire several times.
@@ -101,12 +108,15 @@ def run_case(mode: str, instance_path: Path = INSTANCE_PATH) -> dict:
     return out
 
 
-def run_descent_case() -> dict:
-    """``initial_coloring`` on queen6_6: k = 9, 8 and 7 succeed, then both
-    restarts at k = 6 exhaust their budget."""
-    graph = load_dimacs(str(DESCENT_INSTANCE_PATH))
+def descent_golden_path(name: str) -> Path:
+    return ROOT / "golden" / f"{name}.json"
+
+
+def run_descent_case(name: str) -> dict:
+    """``initial_coloring`` on one instance with ``DESCENT_CASES[name]``."""
+    graph = load_dimacs(str(ROOT.parent / "instances" / f"{name}.col"))
     rng = random.Random(SEED)
-    best = initial_coloring(graph, TabucolParams(iteration_budget=3000, restarts=2), rng)
+    best = initial_coloring(graph, DESCENT_CASES[name], rng)
     return {"k": best.k, "assignment": best.assignment, "next_bits": rng.getrandbits(64)}
 
 
@@ -129,14 +139,22 @@ def test_golden_dense_exchange_replays():
     assert run_dense_case() == expected
 
 
+def _assert_descent_replays(name: str) -> None:
+    expected = json.loads(descent_golden_path(name).read_text(encoding="utf-8"))
+    assert run_descent_case(name) == expected
+
+
 def test_golden_tabucol_descent_replays():
-    expected = json.loads(DESCENT_GOLDEN_PATH.read_text(encoding="utf-8"))
-    assert run_descent_case() == expected
+    _assert_descent_replays("queen6_6")
+
+
+def test_golden_default_descent_replays():
+    _assert_descent_replays("myciel4")
 
 
 if __name__ == "__main__":
     GOLDEN_PATH.parent.mkdir(exist_ok=True)
     for path, data in ((GOLDEN_PATH, {mode: run_case(mode) for mode in CASES}),
                        (DENSE_GOLDEN_PATH, run_dense_case()),
-                       (DESCENT_GOLDEN_PATH, run_descent_case())):
+                       *((descent_golden_path(name), run_descent_case(name)) for name in DESCENT_CASES)):
         path.write_text(json.dumps(data, separators=(",", ":")) + "\n", encoding="utf-8")

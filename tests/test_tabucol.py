@@ -49,6 +49,30 @@ def test_tabucol_gives_up_below_chromatic_number():
     assert tabucol(g, 4, params, random.Random(1)) is None
 
 
+class _CountingRandom(random.Random):
+    """Counts ``randint`` calls, one per TABUCOL move (its tabu tenure), and
+    fails the test instead of letting a search that never stops hang it."""
+
+    def __init__(self, seed, limit):
+        super().__init__(seed)
+        self.moves = 0
+        self.limit = limit
+
+    def randint(self, a, b):
+        self.moves += 1
+        assert self.moves <= self.limit, "TABUCOL attempt did not stop"
+        return super().randint(a, b)
+
+
+def test_tabucol_attempt_stops_after_idle_limit(myciel3):
+    """Below the chromatic number (4 on myciel3) an attempt with no
+    practical budget ends 10,000 iterations after its last new best
+    conflict count."""
+    rng = _CountingRandom(1, limit=100_000)
+    params = TabucolParams(iteration_budget=10**9, restarts=1)
+    assert tabucol(myciel3, 3, params, rng) is None
+
+
 def test_tabucol_one_color_cases():
     empty = Graph.from_edges(3, [])
     c = tabucol(empty, 1, TabucolParams(), random.Random(0))
