@@ -29,7 +29,8 @@ class Coloring:
     Maintains, besides the per-vertex assignment, one membership bitmask per
     class (a class's size is its mask's bit count) and the cached color sum,
     all updated in O(moved vertices) by the mutators.  Equality compares
-    assignments only; colorings are mutable and so not hashable.
+    assignments only, so two canonical colorings are equal iff they are the
+    same partition; colorings are mutable and so not hashable.
     """
 
     __slots__ = ("assignment", "class_masks", "sum")
@@ -167,8 +168,9 @@ def format_coloring(coloring: Coloring) -> str:
 def parse_coloring(text: str, graph: Graph) -> Coloring:
     """Parse the one-solution text format and validate it against ``graph``.
 
-    Rejects missing or repeated vertices, colors outside 1..k, a header sum
-    that disagrees with the body, and improper colorings.
+    Rejects missing or repeated vertices, a header k above the vertex
+    count, colors outside 1..k, a header sum that disagrees with the body,
+    and improper colorings.
 """
     header: tuple[int, int] | None = None
     seen: dict[int, int] = {}
@@ -205,6 +207,8 @@ def parse_coloring(text: str, graph: Graph) -> Coloring:
     if header is None:
         raise ColoringFormatError("missing header line")
     total, k = header
+    if k > graph.n:
+        raise ColoringFormatError(f"header k={k} exceeds the {graph.n} vertices")
     missing = graph.n - len(seen)
     if missing:
         raise ColoringFormatError(f"incomplete coloring: {missing} vertices unassigned")

@@ -1,12 +1,12 @@
 """Memetic minimization of the color sum.
 
-A small population of distinct proper colorings evolves for a fixed number
-of generations: each generation recombines a few parents into one offspring
-(greedy partition crossover), improves it by tabu search, then decides
-whether the offspring replaces a member.  Replacement scores every coloring
-by quality plus a crowding penalty that grows as its nearest neighbor in
-the population gets closer, so the pool keeps both good and mutually
-distant members.
+The population, a list of pairwise-distinct canonical proper colorings,
+evolves for a fixed number of generations: each generation recombines a few
+parents into one offspring (greedy partition crossover), improves it by
+tabu search, then decides whether the offspring replaces a member.
+Replacement scores every coloring by quality plus a crowding penalty that
+grows as its nearest neighbor in the population gets closer, so the pool
+keeps both good and mutually distant members.
 """
 
 from __future__ import annotations
@@ -39,30 +39,6 @@ class MemeticParams:
             raise ValueError("replace_second_worst_probability must be in [0, 1]")
 
 
-class Population:
-    """Pairwise-distinct colorings (distinct partitions, members canonical)."""
-
-    def __init__(self, members: Sequence[Coloring]):
-        self.members: list[Coloring] = list(members)
-        self._keys = {tuple(m.assignment) for m in self.members}
-        if len(self._keys) != len(self.members):
-            raise ValueError("population members must be pairwise distinct")
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, coloring: Coloring) -> bool:
-        return tuple(coloring.assignment) in self._keys
-
-    def best(self) -> Coloring:
-        return min(self.members, key=lambda m: m.sum)
-
-    def replace(self, index: int, coloring: Coloring) -> None:
-        self._keys.discard(tuple(self.members[index].assignment))
-        self.members[index] = coloring
-        self._keys.add(tuple(coloring.assignment))
-
-
 def choose_parent_count(n: int, k: int) -> int:
     """Number of crossover parents, driven by mean class size n/k: 2 below
     5, 3 up to 15, 4 beyond."""
@@ -74,13 +50,6 @@ def choose_parent_count(n: int, k: int) -> int:
     if ratio <= 15:
         return 3
     return 4
-
-
-def select_parents(population: Population, count: int, rng: random.Random) -> list[Coloring]:
-    """Uniform sample of ``count`` distinct members."""
-    if not 2 <= count <= len(population):
-        raise ValueError(f"parent count {count} outside 2..{len(population)}")
-    return rng.sample(population.members, count)
 
 
 def partition_crossover(parents: Sequence[Coloring], graph: Graph, rng: random.Random) -> Coloring:
@@ -146,12 +115,13 @@ def diversity_score(index: int, colorings: Sequence[Coloring], n: int) -> float:
 
 
 def update_population(
-    population: Population,
+    population: list[Coloring],
     offspring: Coloring,
     rng: random.Random,
     replace_second_worst_probability: float = 0.2,
 ) -> bool:
-    """Decide whether ``offspring`` (canonical) joins the population.
+    """Decide whether canonical ``offspring`` joins ``population``, a list
+    of pairwise-distinct canonical colorings, replacing a member in place.
 
     Offspring duplicating a member is always discarded.  Otherwise the
     worst-scored coloring of the pool-plus-offspring leaves; when that is
@@ -161,17 +131,17 @@ def update_population(
     """
     if offspring in population:
         return False
-    pool: list[Coloring] = population.members + [offspring]
+    pool = population + [offspring]
     n = offspring.n
     scores = [diversity_score(i, pool, n) for i in range(len(pool))]
     negated = [(-score, i) for i, score in enumerate(scores)]
     worst = reservoir_min(negated, rng)
     last = len(pool) - 1
     if worst != last:
-        population.replace(worst, offspring)
+        population[worst] = offspring
         return True
     if rng.random() < replace_second_worst_probability:
-        population.replace(reservoir_min(negated[:last], rng), offspring)
+        population[reservoir_min(negated[:last], rng)] = offspring
         return True
     return False
 
@@ -184,31 +154,32 @@ def memetic_search(
     target: int | None = None,
     validate: bool = False,
     on_improve: Callable[[int], None] | None = None,
-    on_generation: Callable[[int, Population, int], None] | None = None,
+    on_generation: Callable[[int, list[Coloring], int], None] | None = None,
     stats: SearchStats | None = None,
 ) -> Coloring:
-    """Full memetic run; returns the best coloring found.
+    """Full memetic run over a population list of pairwise-distinct
+    canonical colorings; returns the best coloring found.
 
     ``warm_start`` injects one externally supplied proper coloring into the
     initial population.  ``target`` stops the run as soon as the best sum
     reaches it; since the incumbent never worsens, a run that would reach
     the target anyway returns the same result either way.  ``on_improve``
     fires with each new best sum (including the initial one),
-    ``on_generation`` after each population update.
+    ``on_generation(generation, members, best_sum)`` with the population
+    list after each population update.
     """
     if warm_start is not None and not is_proper(warm_start, graph):
         raise ValueError("warm start coloring is not proper")
-    members = generate_population(graph, params.population_size, params.init, rng, include=warm_start)
-    population = Population(members)
-    best = population.best()
+    population = generate_population(graph, params.population_size, params.init, rng, include=warm_start)
+    best = min(population, key=lambda m: m.sum)
     if on_improve is not None:
         on_improve(best.sum)
     for generation in range(1, params.max_generations + 1):
         if target is not None and best.sum <= target:
             break
-        smallest_k = min(m.k for m in population.members)
+        smallest_k = min(m.k for m in population)
         count = min(choose_parent_count(graph.n, smallest_k), len(population))
-        parents = select_parents(population, count, rng)
+        parents = rng.sample(population, count)
         child = partition_crossover(parents, graph, rng)
         improved = tabu_search(
             child, graph, params.tabu, rng, validate=validate, stats=stats

@@ -15,6 +15,7 @@ the last, infeasible k of the descent.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -50,8 +51,8 @@ class TabucolParams:
     def __post_init__(self):
         if self.iteration_budget < 1 or self.restarts < 1:
             raise ValueError("iteration_budget and restarts must be >= 1")
-        if self.tenure_base < 0 or self.tenure_slope < 0:
-            raise ValueError("tenure parameters must be >= 0")
+        if self.tenure_base < 0 or not 0 <= self.tenure_slope < math.inf:
+            raise ValueError("tenure parameters must be finite and >= 0")
 
 
 def greedy_coloring(graph: Graph) -> Coloring:
@@ -197,14 +198,11 @@ def generate_population(
     if size < 1:
         raise ValueError(f"population size must be >= 1, got {size}")
     members: list[Coloring] = []
-    keys: set[tuple[int, ...]] = set()
 
     def try_add(c: Coloring) -> bool:
         cc = canonical_relabel(c)
-        key = tuple(cc.assignment)
-        if key in keys:
+        if cc in members:
             return False
-        keys.add(key)
         members.append(cc)
         return True
 

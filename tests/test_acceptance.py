@@ -310,9 +310,9 @@ def test_criterion_5e_population_invariants_each_generation(myciel4):
 
     def on_generation(gen, population, best_sum):
         assert len(population) == 6
-        keys = {tuple(m.assignment) for m in population.members}
+        keys = {tuple(m.assignment) for m in population}
         assert len(keys) == 6
-        for member in population.members:
+        for member in population:
             assert is_proper(member, myciel4)
             assert member.assignment == canonical_relabel(member).assignment
         checked.append(gen)

@@ -118,6 +118,16 @@ def test_solve_rejects_target_outside_masc(capsys):
     assert err.startswith("error: ") and "target applies only to mode 'masc'" in err
 
 
+@pytest.mark.parametrize("slope", ["inf", "nan"])
+def test_solve_rejects_non_finite_tenure_slope(capsys, slope):
+    argv = ["solve", myciel3_path(), "--runs", "1", "--param", f"init_tenure_slope={slope}"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("case", ["missing", "solve", "bench", "--out", "--save-best", "--warm-start",
                                   "--out no-parent", "--save-best no-parent", "both", "bench --out"])
 def test_solve_missing_file_fails_cleanly(tmp_path, capsys, case):

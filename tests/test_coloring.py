@@ -170,6 +170,7 @@ def test_solution_text_roundtrip():
         ("s 9 2\nv 1 1\nv 2 2\nv 3 1\n", "header sum"),
         ("s 4 2\nv 1 1\nv 2 1\nv 3 2\n", "not proper"),
         ("s 4 2\nx 1 1\n", "unrecognized"),
+        ("s 4 4\nv 1 1\nv 2 2\nv 3 1\n", "header k=4 exceeds"),
     ],
 )
 def test_parse_coloring_rejects(text, needle):

@@ -70,7 +70,7 @@ def _run_masc(graph) -> dict:
     best = memetic_search(
         graph, params, random.Random(SEED),
         on_improve=improvements.append,
-        on_generation=lambda _g, pop, _best: generations.append([m.sum for m in pop.members]),
+        on_generation=lambda _g, pop, _best: generations.append([m.sum for m in pop]),
         stats=stats,
     )
     return {"improvements": improvements, "generations": generations,

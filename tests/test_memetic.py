@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -12,8 +13,10 @@ from sumcol import (
     memetic_search,
 )
 from sumcol.coloring import canonical_relabel, hamming_distance
-from sumcol.memetic import Population, diversity_score, select_parents, update_population
+from sumcol.memetic import diversity_score, update_population
 from sumcol.tabu_search import SearchStats
+
+import oracles
 
 
 def quick_params(**overrides):
@@ -35,35 +38,6 @@ def test_params_validation():
         MemeticParams(replace_second_worst_probability=1.5)
 
 
-def test_population_requires_distinct_members():
-    a = Coloring.from_assignment([1, 2, 1])
-    b = Coloring.from_assignment([1, 2, 2])
-    Population([a, b])
-    with pytest.raises(ValueError, match="distinct"):
-        Population([a, Coloring.from_assignment([1, 2, 1])])
-
-
-def test_population_membership_and_best():
-    a = Coloring.from_assignment([1, 2, 1])  # sum 4
-    b = Coloring.from_assignment([1, 2, 2])  # sum 5
-    pop = Population([b, a])
-    assert len(pop) == 2
-    assert a in pop and Coloring.from_assignment([1, 2, 1]) in pop
-    assert pop.best() is a
-
-
-def test_select_parents_bounds():
-    members = [Coloring.from_assignment([c, 1]) for c in (1, 2, 3)]
-    pop = Population(members)
-    rng = random.Random(0)
-    chosen = select_parents(pop, 2, rng)
-    assert len(chosen) == 2 and len({id(c) for c in chosen}) == 2
-    with pytest.raises(ValueError):
-        select_parents(pop, 1, rng)
-    with pytest.raises(ValueError):
-        select_parents(pop, 4, rng)
-
-
 def test_diversity_score_formula():
     a = Coloring.from_assignment([1, 1, 1, 1])  # sum 4
     b = Coloring.from_assignment([1, 1, 1, 2])  # distance 1 from a
@@ -77,11 +51,10 @@ def test_diversity_score_formula():
 
 
 def test_update_population_discards_duplicates():
-    members = [Coloring.from_assignment(x) for x in ([1, 1, 2], [1, 2, 1], [2, 1, 1])]
-    pop = Population(members)
+    pop = [Coloring.from_assignment(x) for x in ([1, 1, 2], [1, 2, 1], [2, 1, 1])]
     clone = Coloring.from_assignment([1, 2, 1])
     assert update_population(pop, clone, random.Random(0), 1.0) is False
-    assert [m.assignment for m in pop.members] == [[1, 1, 2], [1, 2, 1], [2, 1, 1]]
+    assert [m.assignment for m in pop] == [[1, 1, 2], [1, 2, 1], [2, 1, 1]]
 
 
 def test_update_population_replaces_scored_worst():
@@ -89,7 +62,7 @@ def test_update_population_replaces_scored_worst():
     good = Coloring.from_assignment([1, 1, 1, 1, 2])   # sum 6
     mid = Coloring.from_assignment([2, 2, 2, 1, 1])    # sum 8
     bad = Coloring.from_assignment([3, 3, 2, 2, 1])    # sum 11
-    pop = Population([good, mid, bad])
+    pop = [good, mid, bad]
     newcomer = Coloring.from_assignment([1, 1, 2, 2, 1])  # sum 7
     assert update_population(pop, newcomer, random.Random(0), 0.2) is True
     assert bad not in pop and newcomer in pop
@@ -101,14 +74,54 @@ def test_update_population_worst_offspring_needs_the_coin():
     mid = Coloring.from_assignment([2, 2, 2, 1, 1])
     worst_member = Coloring.from_assignment([3, 3, 2, 2, 1])
     offspring = Coloring.from_assignment([3, 3, 3, 2, 2])  # sum 13, scored worst
-    pop = Population([good, mid, worst_member])
+    pop = [good, mid, worst_member]
     assert update_population(pop, offspring, random.Random(0), 0.0) is False
     assert offspring not in pop and worst_member in pop
 
-    pop = Population([good, mid, worst_member])
+    pop = [good, mid, worst_member]
     assert update_population(pop, offspring, random.Random(0), 1.0) is True
     assert offspring in pop and worst_member not in pop
     assert good in pop and mid in pop
+
+
+def test_update_population_keeps_a_distinct_list():
+    """Over 300 canonical offspring on a 10-vertex graph, about half of them
+    copies of members: the list keeps its size and stays pairwise distinct,
+    the return value says whether the offspring entered, an entering
+    offspring takes exactly one slot, and a rejected one (every duplicate)
+    changes nothing."""
+    rng = random.Random(5)
+    edges = oracles.random_gnp(10, 0.3, rng)
+
+    def random_canonical():
+        colors = oracles.random_proper_assignment(10, edges, rng)
+        return canonical_relabel(Coloring.from_assignment(colors))
+
+    population = []
+    while len(population) < 5:
+        c = random_canonical()
+        if c not in population:
+            population.append(c)
+    outcomes = Counter()
+    for _ in range(300):
+        if rng.random() < 0.5:
+            offspring = Coloring.from_assignment(rng.choice(population).assignment)
+        else:
+            offspring = random_canonical()
+        duplicate = tuple(offspring.assignment) in {tuple(m.assignment) for m in population}
+        before = list(population)
+        accepted = update_population(population, offspring, rng, 0.5)
+        assert len(population) == 5
+        assert len({tuple(m.assignment) for m in population}) == 5
+        assert accepted == (offspring in population and not duplicate)
+        changed = [i for i, (a, b) in enumerate(zip(before, population)) if a is not b]
+        if accepted:
+            assert len(changed) == 1 and population[changed[0]] is offspring
+        else:
+            assert changed == []
+        outcomes[duplicate, accepted] += 1
+    assert outcomes[True, False] >= 100  # duplicates, never accepted
+    assert outcomes[False, True] and outcomes[False, False]
 
 
 def test_memetic_search_reaches_known_optimum(myciel3):
@@ -126,7 +139,7 @@ def test_memetic_search_callbacks_and_stats(myciel4):
     def on_gen(gen, population, best_sum):
         generations.append(gen)
         assert len(population) == 4
-        keys = {tuple(m.assignment) for m in population.members}
+        keys = {tuple(m.assignment) for m in population}
         assert len(keys) == 4
 
     params = quick_params(population_size=4, max_generations=5)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -96,8 +97,9 @@ def test_tabucol_params_validation():
         TabucolParams(restarts=0)
     with pytest.raises(ValueError):
         TabucolParams(tenure_base=-1)
-    with pytest.raises(ValueError):
-        TabucolParams(tenure_slope=-0.1)
+    for slope in (-0.1, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            TabucolParams(tenure_slope=slope)
 
 
 def test_initial_coloring_is_proper_and_canonical(myciel3):
