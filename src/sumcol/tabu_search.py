@@ -27,10 +27,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import or_
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .coloring import Coloring, canonical_relabel, is_proper
-from .graph import Graph, bits
+from .graph import Graph
 
 T = TypeVar("T")
 
@@ -240,10 +242,15 @@ def perturb(best: Coloring, tabu: TabuState, rng: random.Random) -> Coloring:
 class TabuSearchRun:
     """State of one search call: current coloring, incumbent, caches.
 
-    Keeps one free-class bitmask per vertex (bit c-1 set iff the vertex has
-    no neighbor in class c, so relocation targets are its set bits) and its
-    transpose, one isolated-vertex mask per class (bit v of
-    ``isolated[c-1]`` set iff v has no neighbor in class c).
+    The only per-class adjacency state is one isolated-vertex mask per
+    class: bit v of ``isolated[c-1]`` is set iff v has no neighbor in class
+    c, so a class's members are always in its own mask.  A move recomputes
+    the mask of a class that loses vertices from the class's members; a
+    relocation's target class only drops the mover's neighbors.
+
+    Relocation selection is bit-parallel: it builds one level mask per sum
+    delta from the class and isolated masks, and reads only the tabu keys
+    that ``vertex_keys`` lists as possibly live.
 
     Exchange moves are cached per class pair in flat rows,
     ``pair_cache[a][b] = (version_a, version_b, low, [(delta, mask), ...])``
@@ -273,6 +280,9 @@ class TabuSearchRun:
         self.tabu = TabuState()
         self.best = coloring.copy()
         self.stall = 0
+        self.full = (1 << graph.n) - 1
+        # every live key of tabu.vertex_until, plus expired ones not yet pruned
+        self.vertex_keys: list[tuple[int, int]] = []
         self._set_current(coloring.copy())
 
     @property
@@ -282,21 +292,24 @@ class TabuSearchRun:
     def _set_current(self, coloring: Coloring) -> None:
         """Install a new current coloring and rebuild derived tables."""
         self.current = coloring
-        masks = coloring.class_masks
         k = coloring.k
-        self.free = [
-            sum(1 << idx for idx, m in enumerate(masks) if not adj & m)
-            for adj in self.graph.adj_masks
-        ]
-        self.isolated = [
-            sum(1 << v for v, f in enumerate(self.free) if f >> idx & 1) for idx in range(k)
-        ]
+        self.isolated = [self._isolated_from(m) for m in coloring.class_masks]
         self.class_versions = [0] * (k + 1)
         # versions start at 0, so every row is recomputed on first use
         stale = (-1, -1, 0, [])
         self.pair_cache: list[list[tuple[int, int, int, list[tuple[int, int]]]]] = [
             [stale] * (k + 1) for _ in range(k + 1)
         ]
+
+    def _isolated_from(self, mask: int) -> int:
+        """Vertices with no neighbor among the ``mask`` vertices."""
+        adj_masks = self.graph.adj_masks
+        reach = 0
+        while mask:
+            low = mask & -mask
+            reach |= adj_masks[low.bit_length() - 1]
+            mask ^= low
+        return self.full ^ reach
 
     def run_phase(self, kind: str, idle_limit: int) -> None:
         """Iterate one neighborhood until ``idle_limit`` consecutive
@@ -329,101 +342,110 @@ class TabuSearchRun:
                 self._check_state()
 
     def _apply(self, move: Move) -> None:
-        free = self.free
         isolated = self.isolated
-        adj_masks = self.graph.adj_masks
         masks = self.current.class_masks
         apply_move(self.current, move, self.tabu, self.rng)
         if isinstance(move, RelocateMove):
             changed_a, changed_b = move.source, move.target
-            # neighbors lose the target; they gain the source once it holds
-            # none of their neighbors
-            source_mask = masks[move.source - 1]
-            source_bit = 1 << (move.source - 1)
-            keep = ~(1 << (move.target - 1))
-            gained = 0
-            for u in self.graph.adj_lists[move.vertex]:
-                if adj_masks[u] & source_mask:
-                    free[u] &= keep
-                else:
-                    free[u] = (free[u] & keep) | source_bit
-                    gained |= 1 << u
-            isolated[move.target - 1] &= ~adj_masks[move.vertex]
-            isolated[move.source - 1] |= gained
+            self.vertex_keys.append((move.vertex, move.source))
+            isolated[move.target - 1] &= ~self.graph.adj_masks[move.vertex]
+            isolated[move.source - 1] = self._isolated_from(masks[move.source - 1])
         else:
             changed_a, changed_b = move.color_a, move.color_b
-            # only neighbors of the swapped component see classes a, b change
-            mask_a = masks[move.color_a - 1]
-            mask_b = masks[move.color_b - 1]
-            bit_a = 1 << (move.color_a - 1)
-            bit_b = 1 << (move.color_b - 1)
-            keep = ~(bit_a | bit_b)
-            touched = 0
-            for v in bits(move.mask):
-                touched |= adj_masks[v]
-            iso_a = isolated[move.color_a - 1] & ~touched
-            iso_b = isolated[move.color_b - 1] & ~touched
-            while touched:
-                low = touched & -touched
-                u = low.bit_length() - 1
-                adj = adj_masks[u]
-                f = free[u] & keep
-                if not adj & mask_a:
-                    f |= bit_a
-                    iso_a |= low
-                if not adj & mask_b:
-                    f |= bit_b
-                    iso_b |= low
-                free[u] = f
-                touched ^= low
-            isolated[move.color_a - 1] = iso_a
-            isolated[move.color_b - 1] = iso_b
+            isolated[changed_a - 1] = self._isolated_from(masks[changed_a - 1])
+            isolated[changed_b - 1] = self._isolated_from(masks[changed_b - 1])
         self.class_versions[changed_a] += 1
         self.class_versions[changed_b] += 1
 
     def _select_relocate(self, at: int) -> RelocateMove | None:
+        """Bit-parallel ``select_move`` over the relocations.
+
+        ``level[k - 1 + d]`` holds the vertices with an admissible move of
+        delta d.  Targets ascend within a vertex, so in the enumeration
+        order of ``select_move`` only a vertex's smallest admissible delta
+        can be examined: the reservoir runs over vertices in order, keyed
+        by that delta, and a tie at a level later superseded still draws.
+        """
         current = self.current
-        free = self.free
+        masks = current.class_masks
+        isolated = self.isolated
         assignment = current.assignment
         k = current.k
-        rng = self.rng
-        vertex_until = self.tabu.vertex_until
-        class_until = self.tabu.class_until
-        class_active = [class_until.get(c, 0) >= at for c in range(k + 1)] if class_until else None
+        top = 2 * k - 1
         aspire_gap = self.best.sum - current.sum
-        chosen = None
-        # sentinel above every delta (|target - source| < k)
-        best_delta = k
-        ties = 0
-        # the tie-break follows reservoir_min draw for draw
-        for v in range(self.graph.n):
-            source = assignment[v]
-            src_tabu = class_active[source] if class_active else False
-            # targets ascend, so deltas do: stop at the first one above the best
-            m = free[v] & ~(1 << (source - 1))
-            while m:
-                low = m & -m
-                m ^= low
-                target = low.bit_length()
-                delta = target - source
-                if delta > best_delta:
-                    break
-                is_tabu = (
-                    src_tabu
-                    or (class_active[target] if class_active else False)
-                    or vertex_until.get((v, target), 0) >= at
-                )
-                if is_tabu and delta >= aspire_gap:
-                    continue
-                if delta < best_delta:
-                    best_delta = delta
-                    chosen = (v, source, target, delta)
-                    ties = 1
-                else:
-                    ties += 1
-                    if rng.random() * ties < 1.0:
-                        chosen = (v, source, target, delta)
-        return RelocateMove(*chosen) if chosen is not None else None
+        # the first level whose tabu moves do not aspirate
+        tabu_from = max(0, k - 1 + aspire_gap)
+        level = [0] * top
+        # a vertex of class s moves to class t at level k - 1 + t - s; a
+        # target without movers, common on dense graphs, costs one test
+        start = k - 1
+        for mt, iso in zip(masks, isolated):
+            movers = iso & ~mt
+            if movers:
+                idx = start
+                for ms in masks:
+                    level[idx] |= ms & movers
+                    idx -= 1
+            start += 1
+        class_until = self.tabu.class_until
+        if class_until:
+            for c, until in class_until.items():
+                if until >= at:
+                    # c as the source, then as the target
+                    ms = masks[c - 1]
+                    for idx in range(tabu_from, top):
+                        level[idx] &= ~ms
+                    for s in range(k):
+                        idx = k - 1 + (c - 1 - s)
+                        if idx >= tabu_from:
+                            level[idx] &= ~masks[s]
+        vertex_keys = self.vertex_keys
+        if vertex_keys:
+            vertex_until = self.tabu.vertex_until
+            self.vertex_keys = live = [key for key in vertex_keys if vertex_until[key] >= at]
+            for v, target in live:
+                idx = k - 1 + target - assignment[v]
+                if idx >= tabu_from:
+                    level[idx] &= ~(1 << v)
+        # prefix ORs: level[i] becomes the vertices whose smallest
+        # admissible delta is at most i - (k - 1)
+        level = list(accumulate(level, or_))
+        acc = level[-1]
+        if not acc:
+            return None
+        # the prefix ORs only grow, so their zeros come first
+        floor = level.count(0)
+        rng = self.rng
+        # walk the running minima: each record vertex lowers the level;
+        # the vertices tied with it before the next record each draw once
+        low = acc & -acc
+        idx = floor
+        while not level[idx] & low:
+            idx += 1
+        while idx > floor:
+            above = -(low << 1)
+            lower = level[idx - 1] & above
+            record = lower & -lower
+            for _ in range((level[idx] & above & (record - 1)).bit_count()):
+                rng.random()
+            low = record
+            idx -= 1
+            while idx > floor and level[idx - 1] & low:
+                idx -= 1
+        # the reservoir over the final level, as reservoir_min draws it
+        chosen = low
+        ties = 1
+        rest = level[floor] & -(low << 1)
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            ties += 1
+            if rng.random() * ties < 1.0:
+                chosen = bit
+        v = chosen.bit_length() - 1
+        source = assignment[v]
+        delta = floor - (k - 1)
+        return RelocateMove(v, source, source + delta, delta)
 
     def _select_exchange(self, at: int) -> ExchangeMove | None:
         current = self.current
@@ -519,14 +541,13 @@ class TabuSearchRun:
             raise AssertionError("current coloring became improper")
         if current.sum != sum(current.assignment):
             raise AssertionError("cached sum out of sync")
-        for v, adj in enumerate(self.graph.adj_masks):
-            expected = sum(1 << idx for idx, m in enumerate(masks) if not adj & m)
-            if expected != self.free[v]:
-                raise AssertionError(f"free-class mask out of sync at vertex {v}")
         for idx, m in enumerate(masks):
             expected = sum(1 << v for v, adj in enumerate(self.graph.adj_masks) if not adj & m)
             if expected != self.isolated[idx]:
                 raise AssertionError(f"isolated-vertex mask out of sync for class {idx + 1}")
+        live = {key for key, until in self.tabu.vertex_until.items() if until > self.tabu.iteration}
+        if not live <= set(self.vertex_keys):
+            raise AssertionError("relocation tabu keys out of sync")
         # every live cache row must hold the reference enumeration, in order
         versions = self.class_versions
         for a, row in enumerate(self.pair_cache):

@@ -9,8 +9,11 @@ TABUCOL descent on a dense graph whose last attempt fails, and the random
 bits drawn after it, so a change in how failing attempts consume the
 stream shows.  The myciel4 case records the same for a descent with the
 default parameters, whose failing attempts end by the idle stop rather
-than by their iteration budget.  A change that claims to keep the solver's
-behaviour must leave all of it unchanged.
+than by their iteration budget.  The myciel7 cases record the
+relocation-only and the alternating search on a larger sparse graph, where
+classes are small beside their neighborhoods; their short phases make
+perturbation and its class locks fire.  A change that claims to keep the
+solver's behaviour must leave all of it unchanged.
 
 The data in ``golden/`` is regenerated only on purpose, when a change is
 meant to alter the search, by running
@@ -42,6 +45,9 @@ GOLDEN_PATH = ROOT / "golden" / "myciel5.json"
 INSTANCE_PATH = ROOT.parent / "instances" / "myciel5.col"
 DENSE_GOLDEN_PATH = ROOT / "golden" / "queen8_8.json"
 DENSE_INSTANCE_PATH = ROOT.parent / "instances" / "queen8_8.col"
+SPARSE_GOLDEN_PATH = ROOT / "golden" / "myciel7.json"
+SPARSE_INSTANCE_PATH = ROOT.parent / "instances" / "myciel7.col"
+SPARSE_CASES = ("dnts", "ts-n2")
 DESCENT_CASES = {
     # k = 9, 8 and 7 succeed, then both restarts at k = 6 exhaust their budget
     "queen6_6": TabucolParams(iteration_budget=3000, restarts=2),
@@ -139,6 +145,12 @@ def test_golden_dense_exchange_replays():
     assert run_dense_case() == expected
 
 
+@pytest.mark.parametrize("mode", SPARSE_CASES)
+def test_golden_sparse_trajectory_replays(mode):
+    expected = json.loads(SPARSE_GOLDEN_PATH.read_text(encoding="utf-8"))[mode]
+    assert run_case(mode, SPARSE_INSTANCE_PATH) == expected
+
+
 def _assert_descent_replays(name: str) -> None:
     expected = json.loads(descent_golden_path(name).read_text(encoding="utf-8"))
     assert run_descent_case(name) == expected
@@ -156,5 +168,7 @@ if __name__ == "__main__":
     GOLDEN_PATH.parent.mkdir(exist_ok=True)
     for path, data in ((GOLDEN_PATH, {mode: run_case(mode) for mode in CASES}),
                        (DENSE_GOLDEN_PATH, run_dense_case()),
+                       (SPARSE_GOLDEN_PATH, {mode: run_case(mode, SPARSE_INSTANCE_PATH)
+                                             for mode in SPARSE_CASES}),
                        *((descent_golden_path(name), run_descent_case(name)) for name in DESCENT_CASES)):
         path.write_text(json.dumps(data, separators=(",", ":")) + "\n", encoding="utf-8")

@@ -10,6 +10,7 @@ from sumcol.tabu_search import (
     SearchStats,
     TabuSearchRun,
     enumerate_relocate_moves,
+    select_move,
     tabu_search,
 )
 from sumcol.tabucol import initial_coloring
@@ -75,14 +76,69 @@ def test_validated_runs_on_random_graphs():
         assert out.sum <= start.sum
 
 
+def _superseded_draws(moves, tabu, best_sum, current_sum):
+    """Tie draws ``select_move`` makes at a delta above the one it returns."""
+    at = tabu.iteration + 1
+    gap = best_sum - current_sum
+    keys = [m.delta for m in moves
+            if m.delta < gap or not tabu.relocate_tabu(m.vertex, m.source, m.target, at)]
+    final = min(keys, default=None)
+    draws = 0
+    best = None
+    for key in keys:
+        if best is None or key < best:
+            best = key
+        elif key == best and key > final:
+            draws += 1
+    return draws
+
+
+def test_relocation_selection_matches_select_move_on_random_graphs():
+    rng = random.Random(71)
+    superseded = blocked = 0
+    for case in range(80):
+        n = rng.randint(1, 14)
+        edges = oracles.random_gnp(n, rng.choice((0.15, 0.35, 0.6)), rng)
+        graph = Graph.from_edges(n, edges)
+        assignment = oracles.random_proper_assignment(n, edges, rng)
+        # sometimes spare empty classes
+        start = Coloring.from_assignment(assignment, k=max(assignment) + rng.randint(0, 2))
+        run = TabuSearchRun(start, graph, small_params(), random.Random(case))
+        k = run.current.k
+        tabu = run.tabu
+        tabu.iteration = 10
+        at = 11
+        # active (>= at) and expired locks; the key list also holds stale keys
+        for _ in range(rng.randint(0, 2 * n)):
+            key = (rng.randrange(n), rng.randint(1, k))
+            tabu.vertex_until[key] = rng.randint(5, 15)
+            run.vertex_keys.append(key)
+        for c in rng.sample(range(1, k + 1), rng.randint(0, min(k, 2))):
+            tabu.class_until[c] = rng.choice((9, 10, 11, 14))
+        run.best.sum = run.current.sum + rng.choice((-3, -1, 0, 0, 1, 2))
+        state = run.rng.getstate()
+        move = run._select_relocate(at)
+        reference_rng = random.Random()
+        reference_rng.setstate(state)
+        moves = enumerate_relocate_moves(run.current, graph)
+        assert move == select_move(moves, tabu, run.best.sum, run.current.sum, reference_rng)
+        assert run.rng.getstate() == reference_rng.getstate()
+        superseded += _superseded_draws(moves, tabu, run.best.sum, run.current.sum) > 0
+        blocked += move is None
+    assert superseded and blocked
+
+
 def _drop_a_class_member(run):
     # dropping a vertex from its own class keeps the coloring "proper" to
     # is_proper, so only the mask cross-check can notice
     run.current.class_masks[0] &= ~(1 << run.current.class_members(1)[0])
 
 
-def _flip_a_free_class_bit(run):
-    run.free[0] ^= 1
+def _drop_a_live_relocation_key(run):
+    # lock the relocation selection would make next, but only in
+    # vertex_until: the key list selection reads misses a live lock
+    move = run._select_relocate(1)
+    run.tabu.vertex_until[(move.vertex, move.target)] = 1
 
 
 def _flip_an_isolated_vertex_bit(run):
@@ -100,10 +156,10 @@ def _drop_a_cached_exchange(run):
 
 @pytest.mark.parametrize("corrupt, message", [
     (_drop_a_class_member, "class masks"),
-    (_flip_a_free_class_bit, "free-class mask"),
+    (_drop_a_live_relocation_key, "relocation tabu keys"),
     (_flip_an_isolated_vertex_bit, "isolated-vertex mask"),
     (_drop_a_cached_exchange, "pair cache"),
-], ids=["class-mask", "free-class-mask", "isolated-mask", "pair-cache"])
+], ids=["class-mask", "relocation-tabu-keys", "isolated-mask", "pair-cache"])
 def test_validation_catches_a_corrupted_class_mask(myciel3, corrupt, message):
     start = initial_coloring(myciel3, TabucolParams(), random.Random(1))
     run = TabuSearchRun(start, myciel3, small_params(), random.Random(0), validate=True)
