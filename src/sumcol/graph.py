@@ -8,8 +8,7 @@ set algebra, O(1) membership) and one tuple of neighbours per vertex
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 
 class DimacsParseError(ValueError):
@@ -22,54 +21,31 @@ class DimacsParseError(ValueError):
         self.line_no = line_no
 
 
-@dataclass
-class ParseDiagnostics:
-    """Counts of tolerated irregularities found while parsing one file."""
-
-    declared_edges: int = 0
-    self_loops: int = 0
-    duplicate_edges: int = 0
-
-
 class Graph:
     """Immutable undirected simple graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "edge_count", "adj_masks", "adj_lists", "diagnostics")
+    __slots__ = ("n", "edge_count", "adj_masks", "adj_lists")
 
-    def __init__(self, n: int, adj_masks: list[int], diagnostics: ParseDiagnostics | None = None):
+    def __init__(self, n: int, adj_masks: list[int]):
         self.n = n
         self.adj_masks = adj_masks
         self.adj_lists: list[tuple[int, ...]] = [tuple(bits(m)) for m in adj_masks]
         self.edge_count = sum(len(a) for a in self.adj_lists) // 2
-        self.diagnostics = diagnostics
 
     @classmethod
-    def from_edges(
-        cls,
-        n: int,
-        edges: Iterable[tuple[int, int]],
-        diagnostics: ParseDiagnostics | None = None,
-    ) -> "Graph":
+    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build from 0-based endpoint pairs.  Self-loops are dropped and
-        duplicate edges collapse silently; pass a diagnostics record to count
-        them."""
+        duplicate edges (either orientation) collapse into one."""
         if n < 0:
             raise ValueError(f"vertex count must be >= 0, got {n}")
         masks = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
-            if u == v:
-                if diagnostics is not None:
-                    diagnostics.self_loops += 1
-                continue
-            if masks[u] >> v & 1:
-                if diagnostics is not None:
-                    diagnostics.duplicate_edges += 1
-                continue
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return cls(n, masks, diagnostics)
+            if u != v:
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
+        return cls(n, masks)
 
     def degree(self, v: int) -> int:
         return len(self.adj_lists[v])
@@ -119,13 +95,12 @@ def parse_dimacs(text: str) -> Graph:
     then 'e <u> <v>' lines with 1-based endpoints.
 
     Self-loops are dropped and duplicate edges (either orientation)
-    deduplicated; both are tallied in ``graph.diagnostics`` rather than
-    rejected, as is a declared edge count that disagrees with the distinct
-    count.  Structural problems raise DimacsParseError with a line number.
+    collapse into one, as ``Graph.from_edges`` does; the declared edge count
+    must not be negative but may disagree with the distinct count
+    (``graph.edge_count``).  Structural problems raise DimacsParseError
+    with a line number.
     """
     n = -1
-    declared = 0
-    diags = ParseDiagnostics()
     edges: list[tuple[int, int]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -160,8 +135,7 @@ def parse_dimacs(text: str) -> Graph:
             raise DimacsParseError(f"unrecognized line {line!r}", line_no)
     if n < 0:
         raise DimacsParseError("missing problem line")
-    diags.declared_edges = declared
-    return Graph.from_edges(n, edges, diags)
+    return Graph.from_edges(n, edges)
 
 
 def load_dimacs(path: str) -> Graph:

@@ -26,10 +26,10 @@ the canonical relabeling happens only on the returned coloring.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from operator import or_
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 from .coloring import Coloring, canonical_relabel, is_proper
 from .graph import Graph
@@ -54,8 +54,7 @@ class TabuSearchParams:
                 raise ValueError(f"{name} must be >= 1")
 
 
-@dataclass(frozen=True)
-class ExchangeMove:
+class ExchangeMove(NamedTuple):
     """Swap the sides of ``mask`` (one connected component spanning classes
     a and b).  Self-inverse: applying it twice restores the coloring."""
 
@@ -65,8 +64,7 @@ class ExchangeMove:
     delta: int
 
 
-@dataclass(frozen=True)
-class RelocateMove:
+class RelocateMove(NamedTuple):
     """Move ``vertex`` from class ``source`` to class ``target``."""
 
     vertex: int
@@ -84,7 +82,8 @@ class TabuState:
 
     ``iteration`` counts completed iterations; an entry with expiry e is
     active for every iteration number <= e.  Fresh state is empty: nothing
-    is tabu at the start of a call.
+    is tabu at the start of a call.  ``vertex_until`` maps (vertex, locked
+    class) to its expiry; relocation selection drops its expired entries.
     """
 
     iteration: int = 0
@@ -249,8 +248,8 @@ class TabuSearchRun:
     relocation's target class only drops the mover's neighbors.
 
     Relocation selection is bit-parallel: it builds one level mask per sum
-    delta from the class and isolated masks, and reads only the tabu keys
-    that ``vertex_keys`` lists as possibly live.
+    delta from the class and isolated masks, and masks out the live
+    relocation locks, the only entries it keeps in ``tabu.vertex_until``.
 
     Exchange moves are cached per class pair in flat rows,
     ``pair_cache[a][b] = (version_a, version_b, low, [(delta, mask), ...])``
@@ -281,13 +280,7 @@ class TabuSearchRun:
         self.best = coloring.copy()
         self.stall = 0
         self.full = (1 << graph.n) - 1
-        # every live key of tabu.vertex_until, plus expired ones not yet pruned
-        self.vertex_keys: list[tuple[int, int]] = []
         self._set_current(coloring.copy())
-
-    @property
-    def iterations(self) -> int:
-        return self.tabu.iteration
 
     def _set_current(self, coloring: Coloring) -> None:
         """Install a new current coloring and rebuild derived tables."""
@@ -319,13 +312,15 @@ class TabuSearchRun:
         while idle < idle_limit and self.tabu.iteration < budget:
             at = self.tabu.iteration + 1
             if self.validate:
+                # relocation selection prunes the lock dict: replay on a copy
+                tabu = replace(self.tabu, vertex_until=dict(self.tabu.vertex_until))
                 rng_state = self.rng.getstate()
             if kind == EXCHANGE:
                 move = self._select_exchange(at)
             else:
                 move = self._select_relocate(at)
             if self.validate:
-                self._check_selection(kind, move, rng_state)
+                self._check_selection(kind, move, tabu, rng_state)
             if move is not None:
                 self._apply(move)
             self.tabu.iteration = at
@@ -347,7 +342,6 @@ class TabuSearchRun:
         apply_move(self.current, move, self.tabu, self.rng)
         if isinstance(move, RelocateMove):
             changed_a, changed_b = move.source, move.target
-            self.vertex_keys.append((move.vertex, move.source))
             isolated[move.target - 1] &= ~self.graph.adj_masks[move.vertex]
             isolated[move.source - 1] = self._isolated_from(masks[move.source - 1])
         else:
@@ -399,10 +393,10 @@ class TabuSearchRun:
                         idx = k - 1 + (c - 1 - s)
                         if idx >= tabu_from:
                             level[idx] &= ~masks[s]
-        vertex_keys = self.vertex_keys
-        if vertex_keys:
-            vertex_until = self.tabu.vertex_until
-            self.vertex_keys = live = [key for key in vertex_keys if vertex_until[key] >= at]
+        vertex_until = self.tabu.vertex_until
+        if vertex_until:
+            live = {key: until for key, until in vertex_until.items() if until >= at}
+            self.tabu.vertex_until = live
             for v, target in live:
                 idx = k - 1 + target - assignment[v]
                 if idx >= tabu_from:
@@ -513,17 +507,18 @@ class TabuSearchRun:
             return None
         return ExchangeMove(*chosen, best_delta)
 
-    def _check_selection(self, kind: str, move: Move | None, rng_state: tuple) -> None:
+    def _check_selection(self, kind: str, move: Move | None, tabu: TabuState, rng_state: tuple) -> None:
         """Cross-check the incremental selection against ``select_move`` over
-        a full enumeration, replayed from the random state the selection
-        started from: both must pick the same move and draw the same numbers."""
+        a full enumeration, replayed from the tabu and random state the
+        selection started from: both must pick the same move and draw the
+        same numbers."""
         if kind == EXCHANGE:
             moves = enumerate_exchange_moves(self.current, self.graph)
         else:
             moves = enumerate_relocate_moves(self.current, self.graph)
         reference_rng = random.Random()
         reference_rng.setstate(rng_state)
-        reference = select_move(moves, self.tabu, self.best.sum, self.current.sum, reference_rng)
+        reference = select_move(moves, tabu, self.best.sum, self.current.sum, reference_rng)
         if reference != move:
             raise AssertionError(f"selection mismatch: {reference} vs {move}")
         if reference_rng.getstate() != self.rng.getstate():
@@ -545,9 +540,6 @@ class TabuSearchRun:
             expected = sum(1 << v for v, adj in enumerate(self.graph.adj_masks) if not adj & m)
             if expected != self.isolated[idx]:
                 raise AssertionError(f"isolated-vertex mask out of sync for class {idx + 1}")
-        live = {key for key, until in self.tabu.vertex_until.items() if until > self.tabu.iteration}
-        if not live <= set(self.vertex_keys):
-            raise AssertionError("relocation tabu keys out of sync")
         # every live cache row must hold the reference enumeration, in order
         versions = self.class_versions
         for a, row in enumerate(self.pair_cache):
@@ -586,14 +578,14 @@ def tabu_search(
         raise ValueError("need at least one neighborhood")
     run = TabuSearchRun(coloring, graph, params, rng, validate=validate, on_improve=on_improve)
     limits = {EXCHANGE: params.exchange_idle_limit, RELOCATE: params.relocate_idle_limit}
-    while run.iterations < params.iteration_budget:
+    while run.tabu.iteration < params.iteration_budget:
         for kind in neighborhoods:
             run.run_phase(kind, limits[kind])
-        if run.iterations >= params.iteration_budget:
+        if run.tabu.iteration >= params.iteration_budget:
             break
         if run.stall >= params.stall_limit:
             run._set_current(perturb(run.best, run.tabu, rng))
             run.stall = 0
     if stats is not None:
-        stats.iterations += run.iterations
+        stats.iterations += run.tabu.iteration
     return canonical_relabel(run.best)

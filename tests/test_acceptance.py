@@ -10,7 +10,6 @@ relevant criterion rather than silently dropped.
 
 from __future__ import annotations
 
-import math
 import random
 import statistics
 from pathlib import Path

@@ -1,6 +1,5 @@
 import json
 import math
-import random
 from dataclasses import replace
 
 import pytest

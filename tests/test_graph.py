@@ -27,16 +27,13 @@ def test_parse_basic():
     assert g.adj_lists[0] == (1, 4)
     assert g.degree(2) == 2
     assert list(g.edges()) == [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
-    assert g.diagnostics.self_loops == 0 and g.diagnostics.duplicate_edges == 0
-    assert g.diagnostics.declared_edges == 5
 
 
 def test_parse_tolerates_loops_and_duplicates():
     text = "p edge 3 5\ne 1 2\ne 2 1\ne 1 1\ne 2 3\ne 2 3\n"
     g = parse_dimacs(text)
     assert g.edge_count == 2
-    assert g.diagnostics.self_loops == 1
-    assert g.diagnostics.duplicate_edges == 2
+    assert g.adj_masks == [0b010, 0b101, 0b010]
 
 
 def test_parse_accepts_edges_keyword_and_blank_lines():

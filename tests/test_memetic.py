@@ -12,7 +12,7 @@ from sumcol import (
     is_proper,
     memetic_search,
 )
-from sumcol.coloring import canonical_relabel, hamming_distance
+from sumcol.coloring import canonical_relabel
 from sumcol.memetic import diversity_score, update_population
 from sumcol.tabu_search import SearchStats
 

@@ -6,7 +6,6 @@ import pytest
 from sumcol import Coloring, Graph, is_proper
 from sumcol.graph import bits
 from sumcol.tabu_search import (
-    ExchangeMove,
     RelocateMove,
     TabuState,
     apply_move,

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -108,22 +109,24 @@ def test_relocation_selection_matches_select_move_on_random_graphs():
         tabu = run.tabu
         tabu.iteration = 10
         at = 11
-        # active (>= at) and expired locks; the key list also holds stale keys
+        # active (>= at) and expired locks; selection prunes the expired ones
         for _ in range(rng.randint(0, 2 * n)):
             key = (rng.randrange(n), rng.randint(1, k))
             tabu.vertex_until[key] = rng.randint(5, 15)
-            run.vertex_keys.append(key)
         for c in rng.sample(range(1, k + 1), rng.randint(0, min(k, 2))):
             tabu.class_until[c] = rng.choice((9, 10, 11, 14))
         run.best.sum = run.current.sum + rng.choice((-3, -1, 0, 0, 1, 2))
         state = run.rng.getstate()
+        before = replace(tabu, vertex_until=dict(tabu.vertex_until))
         move = run._select_relocate(at)
         reference_rng = random.Random()
         reference_rng.setstate(state)
         moves = enumerate_relocate_moves(run.current, graph)
-        assert move == select_move(moves, tabu, run.best.sum, run.current.sum, reference_rng)
+        assert move == select_move(moves, before, run.best.sum, run.current.sum, reference_rng)
         assert run.rng.getstate() == reference_rng.getstate()
-        superseded += _superseded_draws(moves, tabu, run.best.sum, run.current.sum) > 0
+        assert run.tabu.vertex_until == {
+            key: until for key, until in before.vertex_until.items() if until >= at}
+        superseded += _superseded_draws(moves, before, run.best.sum, run.current.sum) > 0
         blocked += move is None
     assert superseded and blocked
 
@@ -132,13 +135,6 @@ def _drop_a_class_member(run):
     # dropping a vertex from its own class keeps the coloring "proper" to
     # is_proper, so only the mask cross-check can notice
     run.current.class_masks[0] &= ~(1 << run.current.class_members(1)[0])
-
-
-def _drop_a_live_relocation_key(run):
-    # lock the relocation selection would make next, but only in
-    # vertex_until: the key list selection reads misses a live lock
-    move = run._select_relocate(1)
-    run.tabu.vertex_until[(move.vertex, move.target)] = 1
 
 
 def _flip_an_isolated_vertex_bit(run):
@@ -156,10 +152,9 @@ def _drop_a_cached_exchange(run):
 
 @pytest.mark.parametrize("corrupt, message", [
     (_drop_a_class_member, "class masks"),
-    (_drop_a_live_relocation_key, "relocation tabu keys"),
     (_flip_an_isolated_vertex_bit, "isolated-vertex mask"),
     (_drop_a_cached_exchange, "pair cache"),
-], ids=["class-mask", "relocation-tabu-keys", "isolated-mask", "pair-cache"])
+], ids=["class-mask", "isolated-mask", "pair-cache"])
 def test_validation_catches_a_corrupted_class_mask(myciel3, corrupt, message):
     start = initial_coloring(myciel3, TabucolParams(), random.Random(1))
     run = TabuSearchRun(start, myciel3, small_params(), random.Random(0), validate=True)
@@ -172,16 +167,55 @@ def test_validation_catches_a_corrupted_class_mask(myciel3, corrupt, message):
 def test_validation_catches_a_selection_the_reference_would_not_make(myciel3):
     start = initial_coloring(myciel3, TabucolParams(), random.Random(1))
     run = TabuSearchRun(start, myciel3, small_params(), random.Random(0), validate=True)
+    tabu = replace(run.tabu, vertex_until=dict(run.tabu.vertex_until))
     state = run.rng.getstate()
     move = run._select_relocate(1)
-    run._check_selection(RELOCATE, move, state)
+    run._check_selection(RELOCATE, move, tabu, state)
     other = next(m for m in enumerate_relocate_moves(run.current, myciel3) if m != move)
     with pytest.raises(AssertionError, match="selection mismatch"):
-        run._check_selection(RELOCATE, other, state)
+        run._check_selection(RELOCATE, other, tabu, state)
     # the same move reached with one extra draw still fails
     run.rng.random()
     with pytest.raises(AssertionError, match="random stream"):
-        run._check_selection(RELOCATE, move, state)
+        run._check_selection(RELOCATE, move, tabu, state)
+
+
+def _relocation_only_search(graph, validate=False):
+    rng = random.Random(5)
+    start = initial_coloring(graph, TabucolParams(), rng)
+    tabu_search(start, graph, small_params(), rng, neighborhoods=(RELOCATE,), validate=validate)
+
+
+def test_relocation_selection_keeps_only_live_locks(myciel4, monkeypatch):
+    select = TabuSearchRun._select_relocate
+    sizes = []
+
+    def checked(run, at):
+        move = select(run, at)
+        locks = run.tabu.vertex_until
+        assert all(until >= run.tabu.iteration + 1 for until in locks.values())
+        assert len(locks) <= run.current.k
+        sizes.append(len(locks))
+        return move
+
+    monkeypatch.setattr(TabuSearchRun, "_select_relocate", checked)
+    _relocation_only_search(myciel4)
+    assert len(sizes) == 1500 and max(sizes) > 0
+
+
+def test_validation_catches_a_prune_that_drops_a_live_lock(myciel4, monkeypatch):
+    select = TabuSearchRun._select_relocate
+
+    def over_pruned(run, at):
+        # a lock that expires at this very iteration is still live
+        run.tabu.vertex_until = {key: until for key, until in run.tabu.vertex_until.items() if until > at}
+        return select(run, at)
+
+    _relocation_only_search(myciel4, validate=True)
+    monkeypatch.setattr(TabuSearchRun, "_select_relocate", over_pruned)
+    # a different move, or the same one reached with different draws
+    with pytest.raises(AssertionError, match="selection (mismatch|consumed)"):
+        _relocation_only_search(myciel4, validate=True)
 
 
 def test_on_improve_reports_strictly_decreasing_sums(myciel4):
