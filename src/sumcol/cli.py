@@ -25,7 +25,6 @@ from .bench import (
 from .coloring import Coloring, load_coloring, save_coloring
 from .graph import load_dimacs
 from .memetic import MemeticParams
-from .tabucol import PopulationInitError
 
 # --param keys and where each lands inside MemeticParams.
 _PARAM_FIELDS = {
@@ -190,7 +189,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "solve":
             return _cmd_solve(args)
         return _cmd_bench(args)
-    except (OSError, ValueError, PopulationInitError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 from .coloring import Coloring, canonical_relabel, hamming_distance, is_proper
 from .graph import Graph, bits
 from .tabu_search import SearchStats, TabuSearchParams, reservoir_min, tabu_search
-from .tabucol import TabucolParams, generate_population
+from .tabucol import PopulationInitError, TabucolParams, generate_population
 
 
 @dataclass
@@ -166,14 +166,21 @@ def memetic_search(
     the target anyway returns the same result either way.  ``on_improve``
     fires with each new best sum (including the initial one),
     ``on_generation(generation, members, best_sum)`` with the population
-    list after each population update.
+    list after each population update.  With fewer distinct partitions in
+    reach than ``population_size`` the ones found evolve; with fewer than
+    two the best returns at once.
     """
     if warm_start is not None and not is_proper(warm_start, graph):
         raise ValueError("warm start coloring is not proper")
-    population = generate_population(graph, params.population_size, params.init, rng, include=warm_start)
+    try:
+        population = generate_population(graph, params.population_size, params.init, rng, include=warm_start)
+    except PopulationInitError as exc:
+        population = exc.members
     best = min(population, key=lambda m: m.sum)
     if on_improve is not None:
         on_improve(best.sum)
+    if len(population) < 2:
+        return best
     for generation in range(1, params.max_generations + 1):
         if target is not None and best.sum <= target:
             break

@@ -56,7 +56,8 @@ class TabuSearchParams:
 
 class ExchangeMove(NamedTuple):
     """Swap the sides of ``mask`` (one connected component spanning classes
-    a and b).  Self-inverse: applying it twice restores the coloring."""
+    a and b, always with ``color_a < color_b``).  Self-inverse: applying it
+    twice restores the coloring."""
 
     mask: int
     color_a: int
@@ -210,10 +211,7 @@ def apply_move(coloring: Coloring, move: Move, tabu: TabuState, rng: random.Rand
         tabu.vertex_until[(move.vertex, move.source)] = at + tenure
     else:
         coloring.swap_between(move.mask, move.color_a, move.color_b)
-        a, b = move.color_a, move.color_b
-        if a > b:
-            a, b = b, a
-        tabu.pair_until[(a, b)] = at + tenure
+        tabu.pair_until[(move.color_a, move.color_b)] = at + tenure
 
 
 def perturb(best: Coloring, tabu: TabuState, rng: random.Random) -> Coloring:
@@ -252,14 +250,15 @@ class TabuSearchRun:
     relocation locks, the only entries it keeps in ``tabu.vertex_until``.
 
     Exchange moves are cached per class pair in flat rows,
-    ``pair_cache[a][b] = (version_a, version_b, low, [(delta, mask), ...])``
-    with ``low`` the pair's minimum delta, invalidated through per-class
-    version counters, so an iteration only recomputes components for pairs
-    touched since they were last scanned, and skips a whole pair whose
-    ``low`` cannot be selected.  A recomputation searches only the linked
-    part of the pair's union (the vertices with a neighbor in the other
-    class): both classes are independent sets, so every other vertex is a
-    singleton component, which is never a move.
+    ``pair_cache[a][b] = (mask_a, mask_b, low, [(delta, mask), ...])``
+    with ``low`` the pair's minimum delta.  A row depends only on the two
+    class masks it was built from, so it is valid exactly while both equal
+    the live masks: nothing is ever invalidated, an iteration recomputes
+    components only for pairs whose classes differ from the row's, and it
+    skips a whole pair whose ``low`` cannot be selected.  A recomputation
+    searches only the linked part of the pair's union (the vertices with a
+    neighbor in the other class): both classes are independent sets, so
+    every other vertex is a singleton component, which is never a move.
     """
 
     def __init__(
@@ -287,12 +286,9 @@ class TabuSearchRun:
         self.current = coloring
         k = coloring.k
         self.isolated = [self._isolated_from(m) for m in coloring.class_masks]
-        self.class_versions = [0] * (k + 1)
-        # versions start at 0, so every row is recomputed on first use
+        # no class mask is negative, so every row is recomputed on first use
         stale = (-1, -1, 0, [])
-        self.pair_cache: list[list[tuple[int, int, int, list[tuple[int, int]]]]] = [
-            [stale] * (k + 1) for _ in range(k + 1)
-        ]
+        self.pair_cache = [[stale] * (k + 1) for _ in range(k + 1)]
 
     def _isolated_from(self, mask: int) -> int:
         """Vertices with no neighbor among the ``mask`` vertices."""
@@ -341,15 +337,11 @@ class TabuSearchRun:
         masks = self.current.class_masks
         apply_move(self.current, move, self.tabu, self.rng)
         if isinstance(move, RelocateMove):
-            changed_a, changed_b = move.source, move.target
             isolated[move.target - 1] &= ~self.graph.adj_masks[move.vertex]
             isolated[move.source - 1] = self._isolated_from(masks[move.source - 1])
         else:
-            changed_a, changed_b = move.color_a, move.color_b
-            isolated[changed_a - 1] = self._isolated_from(masks[changed_a - 1])
-            isolated[changed_b - 1] = self._isolated_from(masks[changed_b - 1])
-        self.class_versions[changed_a] += 1
-        self.class_versions[changed_b] += 1
+            for c in (move.color_a, move.color_b):
+                isolated[c - 1] = self._isolated_from(masks[c - 1])
 
     def _select_relocate(self, at: int) -> RelocateMove | None:
         """Bit-parallel ``select_move`` over the relocations.
@@ -452,7 +444,6 @@ class TabuSearchRun:
         class_until = self.tabu.class_until
         class_active = [class_until.get(c, 0) >= at for c in range(k + 1)] if class_until else None
         aspire_gap = self.best.sum - current.sum
-        versions = self.class_versions
         chosen = None
         # sentinel above every delta (|b - a| < k, a component has <= n
         # vertices); also the low of a pair without moves
@@ -461,14 +452,13 @@ class TabuSearchRun:
         # the tie-break follows reservoir_min draw for draw
         nonempty = [c for c in range(1, k + 1) if masks[c - 1]]
         for i, a in enumerate(nonempty):
-            version_a = versions[a]
             a_active = class_active[a] if class_active else False
             mask_a = masks[a - 1]
             row = self.pair_cache[a]
             for b in nonempty[i + 1:]:
                 entry = row[b]
-                if entry[0] != version_a or entry[1] != versions[b]:
-                    mask_b = masks[b - 1]
+                mask_b = masks[b - 1]
+                if entry[0] != mask_a or entry[1] != mask_b:
                     linked = (mask_a & ~isolated[b - 1]) | (mask_b & ~isolated[a - 1])
                     moves = []
                     low = top
@@ -477,7 +467,7 @@ class TabuSearchRun:
                         moves.append((delta, comp))
                         if delta < low:
                             low = delta
-                    row[b] = (version_a, versions[b], low, moves)
+                    row[b] = (mask_a, mask_b, low, moves)
                 else:
                     low, moves = entry[2], entry[3]
                 # no move of a skipped pair could be examined, so none draws
@@ -540,11 +530,10 @@ class TabuSearchRun:
             expected = sum(1 << v for v, adj in enumerate(self.graph.adj_masks) if not adj & m)
             if expected != self.isolated[idx]:
                 raise AssertionError(f"isolated-vertex mask out of sync for class {idx + 1}")
-        # every live cache row must hold the reference enumeration, in order
-        versions = self.class_versions
-        for a, row in enumerate(self.pair_cache):
-            for b, (version_a, version_b, low, moves) in enumerate(row):
-                if version_a == versions[a] and version_b == versions[b]:
+        # rows built from the live masks, the only ones read, hold the reference moves in order
+        for a, row in enumerate(self.pair_cache[1:], 1):
+            for b, (mask_a, mask_b, low, moves) in enumerate(row[1:], 1):
+                if mask_a == masks[a - 1] and mask_b == masks[b - 1]:
                     expected = [(m.delta, m.mask) for m in _pair_exchanges(current, self.graph, a, b)]
                     expected_low = min((d for d, _ in expected), default=current.k * self.graph.n)
                     if moves != expected or low != expected_low:

@@ -27,7 +27,11 @@ _IDLE_LIMIT = 10_000
 
 
 class PopulationInitError(RuntimeError):
-    """Raised when the requested number of distinct colorings cannot be built."""
+    """Too few distinct colorings were built; ``members`` holds those that were."""
+
+    def __init__(self, message: str, members: list[Coloring] | None = None):
+        super().__init__(message)
+        self.members = members or []
 
 
 @dataclass
@@ -192,8 +196,8 @@ def generate_population(
     Colorings are collected at the smallest k the budget certifies; when
     repeated attempts stop producing new partitions there, collection moves
     to k+1.  ``include`` injects one externally supplied coloring (warm
-    start) as a member.  Raises PopulationInitError if the pool cannot be
-    filled within the retry budget.
+    start) as a member.  Raises PopulationInitError, carrying the members
+    built, if the pool cannot be filled within the retry budget.
     """
     if size < 1:
         raise ValueError(f"population size must be >= 1, got {size}")
@@ -229,6 +233,6 @@ def generate_population(
     if len(members) < size:
         raise PopulationInitError(
             f"assembled only {len(members)} of {size} distinct colorings "
-            f"(n={graph.n}, m={graph.edge_count}, k={k_min}) within {max_attempts} attempts"
+            f"(n={graph.n}, m={graph.edge_count}, k={k_min}) within {max_attempts} attempts", members
         )
     return members

@@ -5,9 +5,12 @@ from dataclasses import replace
 import pytest
 
 from sumcol import (
+    Coloring,
+    Graph,
     MemeticParams,
     TabucolParams,
     TabuSearchParams,
+    is_proper,
     run_instance,
     run_seed,
     welch_t_test,
@@ -24,7 +27,7 @@ from sumcol.bench import (
     render_report,
 )
 
-from conftest import instance_path
+from conftest import MANIFEST_PATH, instance_path
 
 
 def quick_params(**tabu_overrides):
@@ -99,6 +102,25 @@ def test_load_manifest_rejects_duplicate_names(tmp_path):
     path.write_text("a a.col 1 0 1 exact 1\na b.col 1 0 1 exact 1\n")
     with pytest.raises(ManifestError, match="duplicate"):
         load_manifest(str(path))
+
+
+@pytest.mark.parametrize("order", [30, 40, 60])
+def test_manifest_qg_order_rows_match_the_rook_graph(order):
+    """The qg.order rows describe K_N x K_N: one vertex per cell of an N x N
+    grid, adjacent within a row or a column.  Each row is an N-clique, so
+    any coloring sums to at least N * N(N+1)/2, and the Latin square
+    (r + c) mod N + 1 is a proper coloring with exactly that sum."""
+    record = next(r for r in load_manifest(str(MANIFEST_PATH)) if r.name == f"qg.order{order}")
+    cells = range(order * order)
+    graph = Graph.from_edges(order * order, [
+        (u, v) for u in cells for v in cells
+        if u < v and (u // order == v // order or u % order == v % order)
+    ])
+    assert (record.n, record.m) == (graph.n, graph.edge_count)
+    latin = Coloring.from_assignment([(u // order + u % order) % order + 1 for u in cells])
+    assert is_proper(latin, graph)
+    assert latin.sum == order * order * (order + 1) // 2
+    assert (record.best_known, record.bound_exact, record.gcp_k) == (latin.sum, True, order)
 
 
 def test_load_instance_checks_declared_sizes(tmp_path):

@@ -106,27 +106,31 @@ def test_solve_warm_start_accepts_saved_solution(tmp_path, capsys):
 
 
 DEGENERATE_GRAPHS = {
-    # name: (n, edges, minimum sum)
-    "k1": (1, [], 1),
-    "edgeless4": (4, [], 4),
-    "k6": (6, [(u, v) for u in range(1, 7) for v in range(u + 1, 7)], 21),
+    # name: (n, edges, minimum sum, masc iterations); masc searches only
+    # when there are two distinct partitions to recombine
+    "k1": (1, [], 1, 0),
+    "edgeless4": (4, [], 4, 600),
+    "k6": (6, [(u, v) for u in range(1, 7) for v in range(u + 1, 7)], 21, 0),
 }
 
 
-@pytest.mark.parametrize("mode", ["dnts", "ts-n1", "ts-n2"])
+@pytest.mark.parametrize("mode", ["dnts", "ts-n1", "ts-n2", "masc"])
 @pytest.mark.parametrize("name", sorted(DEGENERATE_GRAPHS))
 def test_solve_degenerate_graphs(tmp_path, capsys, name, mode):
     """One class (k = 1), or no relocation at all: the tabu search still
-    runs its budget out and reports the minimum sum."""
-    n, edges, expected = DEGENERATE_GRAPHS[name]
+    runs its budget out and reports the minimum sum.  With fewer distinct
+    partitions than its population, masc evolves the ones found for its two
+    generations, or returns the only one."""
+    n, edges, expected, masc_iterations = DEGENERATE_GRAPHS[name]
     path = tmp_path / f"{name}.col"
     path.write_text(f"p edge {n} {len(edges)}\n" + "".join(f"e {u} {v}\n" for u, v in edges))
-    code = main(["solve", str(path), "--mode", mode, "--runs", "2", "--validate",
-                 "--format", "json", "--param", "iteration_budget=300"])
+    code = main(["solve", str(path), "--mode", mode, "--runs", "2", "--validate", "--format", "json",
+                 "--param", "iteration_budget=300", "--param", "max_generations=2"])
     assert code == 0
     report = json.loads(capsys.readouterr().out)["reports"][0]
     assert report["sum_best"] == expected
-    assert [(row["sum"], row["iterations"]) for row in report["rows"]] == [(expected, 300)] * 2
+    iterations = masc_iterations if mode == "masc" else 300
+    assert [(row["sum"], row["iterations"]) for row in report["rows"]] == [(expected, iterations)] * 2
 
 
 def test_solve_reports_parse_errors(tmp_path, capsys):

@@ -152,7 +152,7 @@ def test_solution_text_roundtrip():
     c = Coloring.from_assignment([1, 2, 1])
     text = format_coloring(c)
     assert text.splitlines()[0] == "s 4 2"
-    again = parse_coloring(text, g)
+    again = parse_coloring("c a comment line is skipped\n" + text, g)
     assert again.assignment == c.assignment
 
 
@@ -171,6 +171,9 @@ def test_solution_text_roundtrip():
         ("s 4 2\nv 1 1\nv 2 1\nv 3 2\n", "not proper"),
         ("s 4 2\nx 1 1\n", "unrecognized"),
         ("s 4 4\nv 1 1\nv 2 2\nv 3 1\n", "header k=4 exceeds"),
+        ("s 4 2\nv 1\n", "malformed vertex line"),
+        ("s 4 2\nv 1 x\n", "non-integer vertex line"),
+        ("c only a comment\n", "missing header"),
     ],
 )
 def test_parse_coloring_rejects(text, needle):

@@ -146,15 +146,26 @@ def _drop_a_cached_exchange(run):
     run._select_exchange(1)
     row = next(row for row in run.pair_cache if any(entry[3] for entry in row))
     b = next(b for b, entry in enumerate(row) if entry[3])
-    version_a, version_b, low, moves = row[b]
-    row[b] = (version_a, version_b, low, moves[:-1])
+    mask_a, mask_b, low, moves = row[b]
+    row[b] = (mask_a, mask_b, low, moves[:-1])
+
+
+def _recolor_next_to_a_neighbor(run):
+    # recolor keeps the masks and the sum in step, so only is_proper notices
+    run.current.recolor(0, run.current.assignment[run.graph.adj_lists[0][0]])
+
+
+def _bump_the_cached_sum(run):
+    run.current.sum += 1
 
 
 @pytest.mark.parametrize("corrupt, message", [
     (_drop_a_class_member, "class masks"),
+    (_recolor_next_to_a_neighbor, "became improper"),
+    (_bump_the_cached_sum, "cached sum"),
     (_flip_an_isolated_vertex_bit, "isolated-vertex mask"),
     (_drop_a_cached_exchange, "pair cache"),
-], ids=["class-mask", "isolated-mask", "pair-cache"])
+], ids=["class-mask", "improper", "cached-sum", "isolated-mask", "pair-cache"])
 def test_validation_catches_a_corrupted_class_mask(myciel3, corrupt, message):
     start = initial_coloring(myciel3, TabucolParams(), random.Random(1))
     run = TabuSearchRun(start, myciel3, small_params(), random.Random(0), validate=True)
@@ -162,6 +173,25 @@ def test_validation_catches_a_corrupted_class_mask(myciel3, corrupt, message):
     corrupt(run)
     with pytest.raises(AssertionError, match=message):
         run._check_state()
+
+
+def test_exchange_rows_are_reused_when_the_class_masks_return(myciel4, monkeypatch):
+    """A row is keyed by the two class masks it was built from: an exchange
+    applied twice restores both, so the next selection searches no
+    component again."""
+    start = initial_coloring(myciel4, TabucolParams(), random.Random(1))
+    run = TabuSearchRun(start, myciel4, small_params(), random.Random(0))
+    move = run._select_exchange(1)
+    assert move is not None
+    run._apply(move)
+    assert run.current.class_masks != start.class_masks
+    run._apply(move)
+    assert run.current.class_masks == start.class_masks
+    searched = []
+    search = Graph.component_masks
+    monkeypatch.setattr(Graph, "component_masks", lambda graph, mask: searched.append(mask) or search(graph, mask))
+    run._select_exchange(1)
+    assert searched == []
 
 
 def test_validation_catches_a_selection_the_reference_would_not_make(myciel3):

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 
 import pytest
@@ -128,5 +129,10 @@ def test_generate_population_includes_warm_start(myciel3):
 def test_generate_population_fails_when_too_few_partitions_exist():
     # a complete graph has exactly one partition into independent sets
     g = complete_graph(3)
-    with pytest.raises(PopulationInitError, match="n=3"):
+    with pytest.raises(PopulationInitError, match="n=3") as caught:
         generate_population(g, 5, TabucolParams(iteration_budget=300, restarts=1), random.Random(2))
+    # the error carries what was built, also across a process boundary
+    assert [m.assignment for m in caught.value.members] == [[1, 2, 3]]
+    again = pickle.loads(pickle.dumps(caught.value))
+    assert str(again) == str(caught.value)
+    assert [m.assignment for m in again.members] == [[1, 2, 3]]
