@@ -42,12 +42,11 @@ class Coloring:
 
     @classmethod
     def from_assignment(cls, colors: Sequence[int], k: int | None = None) -> "Coloring":
-        """Build from 1-based per-vertex colors; k defaults to max(colors)."""
+        """Build from 1-based per-vertex colors; k defaults to max(colors),
+        and to 0 for the empty coloring of a graph without vertices."""
         assignment = list(colors)
-        if not assignment:
-            raise ValueError("empty coloring")
-        top = max(assignment)
-        if min(assignment) < 1:
+        top = max(assignment, default=0)
+        if min(assignment, default=1) < 1:
             raise ValueError("colors must be >= 1")
         if k is None:
             k = top
@@ -213,7 +212,7 @@ def parse_coloring(text: str, graph: Graph) -> Coloring:
     if missing:
         raise ColoringFormatError(f"incomplete coloring: {missing} vertices unassigned")
     colors = [seen[v] for v in range(1, graph.n + 1)]
-    if min(colors) < 1 or max(colors) > k:
+    if any(not 1 <= c <= k for c in colors):
         raise ColoringFormatError(f"colors outside 1..{k}")
     if sum(colors) != total:
         raise ColoringFormatError(f"header sum {total} != actual {sum(colors)}")

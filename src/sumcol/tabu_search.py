@@ -36,6 +36,10 @@ from .graph import Graph
 
 T = TypeVar("T")
 
+# Most component searches of an exchange phase repeat a linked vertex set
+# the call has already searched; this many are remembered at a time.
+_COMPONENT_MEMO_SIZE = 1024
+
 EXCHANGE = "exchange"
 RELOCATE = "relocate"
 BOTH_NEIGHBORHOODS = (EXCHANGE, RELOCATE)
@@ -259,6 +263,15 @@ class TabuSearchRun:
     searches only the linked part of the pair's union (the vertices with a
     neighbor in the other class): both classes are independent sets, so
     every other vertex is a singleton component, which is never a move.
+
+    The component lists are also remembered per call in ``_components``,
+    keyed by the linked vertex set searched, because a tabu search keeps
+    revisiting the same class contents.  The components of an induced
+    subgraph depend on its vertex set alone, so a remembered list is
+    exact, and the memo survives a perturbation.  It holds at most
+    ``_COMPONENT_MEMO_SIZE`` (1024) sets and is emptied when full.
+    Under ``validate`` every live row is rebuilt from a fresh component
+    search, so a wrong remembered list is caught.
     """
 
     def __init__(
@@ -279,6 +292,7 @@ class TabuSearchRun:
         self.best = coloring.copy()
         self.stall = 0
         self.full = (1 << graph.n) - 1
+        self._components: dict[int, list[int]] = {}
         self._set_current(coloring.copy())
 
     def _set_current(self, coloring: Coloring) -> None:
@@ -436,6 +450,7 @@ class TabuSearchRun:
     def _select_exchange(self, at: int) -> ExchangeMove | None:
         current = self.current
         component_masks = self.graph.component_masks
+        components = self._components
         masks = current.class_masks
         isolated = self.isolated
         k = current.k
@@ -460,9 +475,14 @@ class TabuSearchRun:
                 mask_b = masks[b - 1]
                 if entry[0] != mask_a or entry[1] != mask_b:
                     linked = (mask_a & ~isolated[b - 1]) | (mask_b & ~isolated[a - 1])
+                    comps = components.get(linked)
+                    if comps is None:
+                        if len(components) >= _COMPONENT_MEMO_SIZE:
+                            components.clear()
+                        comps = components[linked] = component_masks(linked)
                     moves = []
                     low = top
-                    for comp in component_masks(linked):
+                    for comp in comps:
                         delta = (b - a) * (2 * (comp & mask_a).bit_count() - comp.bit_count())
                         moves.append((delta, comp))
                         if delta < low:
@@ -565,6 +585,9 @@ def tabu_search(
             raise ValueError(f"unknown neighborhood {kind!r}")
     if not neighborhoods:
         raise ValueError("need at least one neighborhood")
+    if not coloring.n:
+        # no vertex to move: the empty coloring is already the best
+        return canonical_relabel(coloring)
     run = TabuSearchRun(coloring, graph, params, rng, validate=validate, on_improve=on_improve)
     limits = {EXCHANGE: params.exchange_idle_limit, RELOCATE: params.relocate_idle_limit}
     while run.tabu.iteration < params.iteration_budget:

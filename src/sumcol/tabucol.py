@@ -222,7 +222,7 @@ def generate_population(
     max_attempts = max(20, 10 * size)
     while len(members) < size and attempts < max_attempts:
         attempts += 1
-        sol = tabucol(graph, level, params, rng) if level <= graph.n else None
+        sol = tabucol(graph, level, params, rng) if 0 < level <= graph.n else None
         if sol is not None and try_add(sol):
             dup_streak = 0
         else:

@@ -106,11 +106,13 @@ def test_solve_warm_start_accepts_saved_solution(tmp_path, capsys):
 
 
 DEGENERATE_GRAPHS = {
-    # name: (n, edges, minimum sum, masc iterations); masc searches only
-    # when there are two distinct partitions to recombine
-    "k1": (1, [], 1, 0),
-    "edgeless4": (4, [], 4, 600),
-    "k6": (6, [(u, v) for u in range(1, 7) for v in range(u + 1, 7)], 21, 0),
+    # name: (n, edges, minimum sum, masc iterations, tabu iterations); masc
+    # searches only when there are two distinct partitions to recombine,
+    # and no search runs without a vertex to move
+    "empty": (0, [], 0, 0, 0),
+    "k1": (1, [], 1, 0, 300),
+    "edgeless4": (4, [], 4, 600, 300),
+    "k6": (6, [(u, v) for u in range(1, 7) for v in range(u + 1, 7)], 21, 0, 300),
 }
 
 
@@ -120,8 +122,9 @@ def test_solve_degenerate_graphs(tmp_path, capsys, name, mode):
     """One class (k = 1), or no relocation at all: the tabu search still
     runs its budget out and reports the minimum sum.  With fewer distinct
     partitions than its population, masc evolves the ones found for its two
-    generations, or returns the only one."""
-    n, edges, expected, masc_iterations = DEGENERATE_GRAPHS[name]
+    generations, or returns the only one.  The graph without vertices gets
+    the empty coloring in every mode."""
+    n, edges, expected, masc_iterations, tabu_iterations = DEGENERATE_GRAPHS[name]
     path = tmp_path / f"{name}.col"
     path.write_text(f"p edge {n} {len(edges)}\n" + "".join(f"e {u} {v}\n" for u, v in edges))
     code = main(["solve", str(path), "--mode", mode, "--runs", "2", "--validate", "--format", "json",
@@ -129,7 +132,7 @@ def test_solve_degenerate_graphs(tmp_path, capsys, name, mode):
     assert code == 0
     report = json.loads(capsys.readouterr().out)["reports"][0]
     assert report["sum_best"] == expected
-    iterations = masc_iterations if mode == "masc" else 300
+    iterations = masc_iterations if mode == "masc" else tabu_iterations
     assert [(row["sum"], row["iterations"]) for row in report["rows"]] == [(expected, iterations)] * 2
 
 

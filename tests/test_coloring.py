@@ -28,6 +28,13 @@ def test_from_assignment_allocates_trailing_empty_classes():
     assert [m.bit_count() for m in c.class_masks] == [2, 0, 0]
 
 
+def test_the_empty_coloring_has_no_class_and_sum_zero():
+    c = Coloring.from_assignment([])
+    assert (c.n, c.k, c.sum, c.class_masks) == (0, 0, 0, [])
+    assert canonical_relabel(c) == c
+    assert parse_coloring(format_coloring(c), Graph.from_edges(0, [])).k == 0
+
+
 def test_from_assignment_rejects_bad_input():
     with pytest.raises(ValueError):
         Coloring.from_assignment([0, 1])

@@ -6,6 +6,7 @@ import pytest
 from sumcol import Coloring, Graph, TabucolParams, TabuSearchParams, is_proper
 from sumcol.coloring import canonical_relabel
 from sumcol.tabu_search import (
+    _COMPONENT_MEMO_SIZE,
     EXCHANGE,
     RELOCATE,
     SearchStats,
@@ -17,6 +18,7 @@ from sumcol.tabu_search import (
 from sumcol.tabucol import initial_coloring
 
 import oracles
+from conftest import require_instance
 
 
 def small_params(**overrides):
@@ -175,10 +177,18 @@ def test_validation_catches_a_corrupted_class_mask(myciel3, corrupt, message):
         run._check_state()
 
 
+def _searched_masks(monkeypatch) -> list[int]:
+    """Record every linked set handed to ``Graph.component_masks``."""
+    searched = []
+    search = Graph.component_masks
+    monkeypatch.setattr(Graph, "component_masks", lambda graph, mask: searched.append(mask) or search(graph, mask))
+    return searched
+
+
 def test_exchange_rows_are_reused_when_the_class_masks_return(myciel4, monkeypatch):
     """A row is keyed by the two class masks it was built from: an exchange
     applied twice restores both, so the next selection searches no
-    component again."""
+    component again, even with the component memo emptied."""
     start = initial_coloring(myciel4, TabucolParams(), random.Random(1))
     run = TabuSearchRun(start, myciel4, small_params(), random.Random(0))
     move = run._select_exchange(1)
@@ -187,11 +197,60 @@ def test_exchange_rows_are_reused_when_the_class_masks_return(myciel4, monkeypat
     assert run.current.class_masks != start.class_masks
     run._apply(move)
     assert run.current.class_masks == start.class_masks
-    searched = []
-    search = Graph.component_masks
-    monkeypatch.setattr(Graph, "component_masks", lambda graph, mask: searched.append(mask) or search(graph, mask))
+    run._components.clear()
+    searched = _searched_masks(monkeypatch)
     run._select_exchange(1)
     assert searched == []
+
+
+def test_no_linked_set_is_searched_twice_below_the_memo_size(monkeypatch):
+    """The component lists of a call are remembered by linked vertex set:
+    while the memo holds them all, no set goes to the search twice."""
+    queen8_8 = require_instance("queen8_8")
+    rng = random.Random(4)
+    start = initial_coloring(queen8_8, TabucolParams(), rng)
+    searched = _searched_masks(monkeypatch)
+    tabu_search(start, queen8_8, small_params(iteration_budget=300), rng, neighborhoods=(EXCHANGE,))
+    assert 0 < len(searched) < _COMPONENT_MEMO_SIZE
+    assert len(set(searched)) == len(searched)
+
+
+def test_component_memo_stays_within_its_size(monkeypatch):
+    myciel7 = require_instance("myciel7")
+    rng = random.Random(6)
+    start = initial_coloring(myciel7, TabucolParams(), rng)
+    searched = _searched_masks(monkeypatch)
+    sizes = []
+    phase = TabuSearchRun.run_phase
+
+    def checked(run, kind, idle_limit):
+        phase(run, kind, idle_limit)
+        sizes.append(len(run._components))
+
+    monkeypatch.setattr(TabuSearchRun, "run_phase", checked)
+    tabu_search(start, myciel7, TabuSearchParams(iteration_budget=3000), rng)
+    # more searches than the memo holds, so it has filled at least once
+    assert len(searched) > _COMPONENT_MEMO_SIZE
+    assert 0 < max(sizes) <= _COMPONENT_MEMO_SIZE
+
+
+def test_validation_catches_a_wrong_memoized_component_list(myciel4):
+    """A memoized list with one extra component, a whole class, which costs
+    more than every real move of its pair and so never changes a selection:
+    only the cross-check of the rows it fed can notice."""
+    start = initial_coloring(myciel4, TabucolParams(), random.Random(1))
+    run = TabuSearchRun(start, myciel4, small_params(), random.Random(0), validate=True)
+    masks = run.current.class_masks
+    k = run.current.k
+    for a in range(1, k + 1):
+        for b in range(a + 1, k + 1):
+            linked = (masks[a - 1] & ~run.isolated[b - 1]) | (masks[b - 1] & ~run.isolated[a - 1])
+            if linked:
+                run._components[linked] = myciel4.component_masks(linked) + [masks[a - 1]]
+    # the first selection builds every row; those of the pairs the move
+    # leaves alone are checked after it
+    with pytest.raises(AssertionError, match="pair cache out of sync"):
+        run.run_phase(EXCHANGE, 1)
 
 
 def test_validation_catches_a_selection_the_reference_would_not_make(myciel3):
