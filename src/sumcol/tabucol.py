@@ -5,6 +5,9 @@ few classes.  This module provides the classical recipe: a greedy bound,
 then tabu search over improper k-colorings (minimizing the number of
 conflicting edges) at decreasing k until the budget stops certifying
 feasibility, then repeated runs at the smallest reached k to fill the pool.
+A greedy clique gives the lower bound: a k below its size is refused
+without an attempt, so a descent that reaches the clique size (the
+chromatic number equals the clique number) ends at once.
 
 An attempt also gives up after ``_IDLE_LIMIT`` (10,000) iterations without
 a new fewest-conflicts count: the ``nbmax`` stopping rule of the original
@@ -77,13 +80,30 @@ def greedy_coloring(graph: Graph) -> Coloring:
     return Coloring.from_assignment(colors)
 
 
+def greedy_clique(graph: Graph) -> int:
+    """Largest clique grown greedily from each vertex, adding the
+    lowest-numbered common neighbour; a lower bound on k."""
+    adj = graph.adj_masks
+    best = 0
+    for v in range(graph.n):
+        cand = adj[v]
+        size = 1
+        while cand:
+            cand &= adj[(cand & -cand).bit_length() - 1]
+            size += 1
+        best = max(best, size)
+    return best
+
+
 def tabucol(graph: Graph, k: int, params: TabucolParams, rng: random.Random) -> Coloring | None:
     """Search for a proper k-coloring; None if none found within budget.
 
-    Runs up to ``params.restarts`` attempts from fresh uniform random
-    assignments, each limited to ``params.iteration_budget`` iterations and
-    ended early after ``_IDLE_LIMIT`` (10,000) iterations without a new
-    fewest-conflicts count (Hertz & de Werra's ``nbmax`` rule).
+    A k below ``greedy_clique(graph)`` cannot be colored, so it returns None
+    at once without drawing from ``rng``.  Otherwise runs up to
+    ``params.restarts`` attempts from fresh uniform random assignments,
+    each limited to ``params.iteration_budget`` iterations and ended early
+    after ``_IDLE_LIMIT`` (10,000) iterations without a new fewest-conflicts
+    count (Hertz & de Werra's ``nbmax`` rule).
     Moves recolor one endpoint of a conflicting edge; the best (fewest
     resulting conflicts) non-tabu move is taken, ties uniformly at random,
     and a tabu move is allowed when it beats the attempt's best.
@@ -91,9 +111,8 @@ def tabucol(graph: Graph, k: int, params: TabucolParams, rng: random.Random) -> 
     n = graph.n
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
-    if k == 1:
-        # single class: proper iff there is nothing to conflict
-        return Coloring.from_assignment([1] * n, k=1) if graph.edge_count == 0 else None
+    if k < greedy_clique(graph):
+        return None
     for _ in range(params.restarts):
         sol = _tabucol_attempt(graph, k, params, rng)
         if sol is not None:

@@ -10,7 +10,7 @@ two routes is meaningful evidence of correctness.
 from __future__ import annotations
 
 import math
-from itertools import permutations
+from itertools import combinations, permutations
 
 
 def adjacency_sets(n: int, edges) -> list[set[int]]:
@@ -146,6 +146,16 @@ def naive_sum(assignment) -> int:
 
 def is_proper_assignment(edges, assignment) -> bool:
     return all(assignment[u] != assignment[v] for u, v in edges)
+
+
+def brute_force_clique_number(n: int, edges) -> int:
+    """Largest vertex subset that is pairwise adjacent, by enumeration."""
+    adj = adjacency_sets(n, edges)
+    return max(
+        (len(s) for r in range(n + 1) for s in combinations(range(n), r)
+         if all(v in adj[u] for u, v in combinations(s, 2))),
+        default=0,
+    )
 
 
 def random_gnp(n: int, p: float, rng) -> list[tuple[int, int]]:

@@ -1,20 +1,24 @@
 import math
+import os
 import pickle
 import random
 
 import pytest
 
 from sumcol import Graph, TabucolParams, is_proper
+from sumcol.bench import load_instance, load_manifest
 from sumcol.coloring import canonical_relabel
 from sumcol.tabucol import (
     PopulationInitError,
     generate_population,
+    greedy_clique,
     greedy_coloring,
     initial_coloring,
     tabucol,
 )
 
 import oracles
+from conftest import MANIFEST_PATH, require_instance
 
 
 def complete_graph(n):
@@ -36,6 +40,43 @@ def test_greedy_coloring_deterministic():
     assert greedy_coloring(g).assignment == greedy_coloring(g).assignment
 
 
+@pytest.mark.parametrize(
+    "name, omega",
+    [("queen5_5", 5), ("queen6_6", 6), ("queen7_7", 7), ("queen8_8", 8), ("queen9_9", 9),
+     ("queen8_12", 12), ("myciel3", 2), ("myciel4", 2), ("myciel5", 2), ("myciel6", 2),
+     ("myciel7", 2)],
+)
+def test_greedy_clique_finds_the_clique_number(name, omega):
+    assert greedy_clique(require_instance(name)) == omega
+
+
+def test_greedy_clique_never_exceeds_the_manifest_color_count():
+    checked = 0
+    for record in load_manifest(str(MANIFEST_PATH)):
+        if record.gcp_k is None or not os.path.exists(record.path):
+            continue
+        assert greedy_clique(load_instance(record)) <= record.gcp_k, record.name
+        checked += 1
+    assert checked >= 11
+
+
+def test_greedy_clique_degenerate_graphs():
+    assert greedy_clique(Graph.from_edges(0, [])) == 0
+    assert greedy_clique(Graph.from_edges(1, [])) == 1
+    assert greedy_clique(Graph.from_edges(4, [])) == 1
+    for n in (2, 3, 6):
+        assert greedy_clique(complete_graph(n)) == n
+
+
+def test_greedy_clique_is_a_clique_number_lower_bound():
+    # a size above the clique number would make tabucol refuse a feasible k
+    rng = random.Random(11)
+    for _ in range(40):
+        n = rng.randint(1, 10)
+        edges = oracles.random_gnp(n, rng.choice((0.3, 0.5, 0.8)), rng)
+        assert greedy_clique(Graph.from_edges(n, edges)) <= oracles.brute_force_clique_number(n, edges)
+
+
 def test_tabucol_finds_feasible_k():
     g = complete_graph(4)
     params = TabucolParams(iteration_budget=2000)
@@ -46,9 +87,18 @@ def test_tabucol_finds_feasible_k():
 
 
 def test_tabucol_gives_up_below_chromatic_number():
+    # K5 at k = 4 is below its clique: refused before any draw
     g = complete_graph(5)
     params = TabucolParams(iteration_budget=500, restarts=2)
-    assert tabucol(g, 4, params, random.Random(1)) is None
+    rng = random.Random(1)
+    state = rng.getstate()
+    assert tabucol(g, 4, params, rng) is None
+    assert rng.getstate() == state
+    # C5 at k = 2: chromatic number 3 above clique number 2, so the attempts run and fail
+    c5 = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+    assert greedy_clique(c5) == 2
+    assert tabucol(c5, 2, params, rng) is None
+    assert rng.getstate() != state
 
 
 class _CountingRandom(random.Random):
