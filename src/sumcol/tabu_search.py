@@ -89,6 +89,7 @@ class TabuState:
     active for every iteration number <= e.  Fresh state is empty: nothing
     is tabu at the start of a call.  ``vertex_until`` maps (vertex, locked
     class) to its expiry; relocation selection drops its expired entries.
+    Both selections drop the expired ``class_until`` entries, by rebinding.
     """
 
     iteration: int = 0
@@ -108,6 +109,13 @@ class TabuState:
             if self.class_until.get(source, 0) >= at or self.class_until.get(target, 0) >= at:
                 return True
         return self.vertex_until.get((vertex, target), 0) >= at
+
+    def live_class_locks(self, at: int) -> dict[int, int]:
+        """Drop the class locks expired before iteration ``at``; returns the
+        rest, all active at ``at``."""
+        if self.class_until:
+            self.class_until = {c: until for c, until in self.class_until.items() if until >= at}
+        return self.class_until
 
 
 @dataclass
@@ -246,7 +254,8 @@ class TabuSearchRun:
     The only per-class adjacency state is one isolated-vertex mask per
     class: bit v of ``isolated[c-1]`` is set iff v has no neighbor in class
     c, so a class's members are always in its own mask.  A move recomputes
-    the mask of a class that loses vertices from the class's members; a
+    the mask of a class that loses vertices from the class's members
+    (``Graph.neighborhood``, from byte tables for a large class); a
     relocation's target class only drops the mover's neighbors.
 
     Relocation selection is bit-parallel: it builds one level mask per sum
@@ -262,7 +271,8 @@ class TabuSearchRun:
     skips a whole pair whose ``low`` cannot be selected.  A recomputation
     searches only the linked part of the pair's union (the vertices with a
     neighbor in the other class): both classes are independent sets, so
-    every other vertex is a singleton component, which is never a move.
+    every other vertex is a singleton component, which is never a move, and
+    the search walks only the smaller class's side of the set.
 
     The component lists are also remembered per call in ``_components``,
     keyed by the linked vertex set searched, because a tabu search keeps
@@ -270,8 +280,8 @@ class TabuSearchRun:
     subgraph depend on its vertex set alone, so a remembered list is
     exact, and the memo survives a perturbation.  It holds at most
     ``_COMPONENT_MEMO_SIZE`` (1024) sets and is emptied when full.
-    Under ``validate`` every live row is rebuilt from a fresh component
-    search, so a wrong remembered list is caught.
+    Under ``validate`` every live row is rebuilt from a plain component
+    search of the pair's union, so a wrong remembered list is caught.
     """
 
     def __init__(
@@ -299,20 +309,11 @@ class TabuSearchRun:
         """Install a new current coloring and rebuild derived tables."""
         self.current = coloring
         k = coloring.k
-        self.isolated = [self._isolated_from(m) for m in coloring.class_masks]
+        neighborhood = self.graph.neighborhood
+        self.isolated = [self.full ^ neighborhood(m) for m in coloring.class_masks]
         # no class mask is negative, so every row is recomputed on first use
         stale = (-1, -1, 0, [])
         self.pair_cache = [[stale] * (k + 1) for _ in range(k + 1)]
-
-    def _isolated_from(self, mask: int) -> int:
-        """Vertices with no neighbor among the ``mask`` vertices."""
-        adj_masks = self.graph.adj_masks
-        reach = 0
-        while mask:
-            low = mask & -mask
-            reach |= adj_masks[low.bit_length() - 1]
-            mask ^= low
-        return self.full ^ reach
 
     def run_phase(self, kind: str, idle_limit: int) -> None:
         """Iterate one neighborhood until ``idle_limit`` consecutive
@@ -322,7 +323,7 @@ class TabuSearchRun:
         while idle < idle_limit and self.tabu.iteration < budget:
             at = self.tabu.iteration + 1
             if self.validate:
-                # relocation selection prunes the lock dict: replay on a copy
+                # the selections prune the lock dicts: replay on a copy
                 tabu = replace(self.tabu, vertex_until=dict(self.tabu.vertex_until))
                 rng_state = self.rng.getstate()
             if kind == EXCHANGE:
@@ -349,13 +350,14 @@ class TabuSearchRun:
     def _apply(self, move: Move) -> None:
         isolated = self.isolated
         masks = self.current.class_masks
+        graph = self.graph
         apply_move(self.current, move, self.tabu, self.rng)
         if isinstance(move, RelocateMove):
-            isolated[move.target - 1] &= ~self.graph.adj_masks[move.vertex]
-            isolated[move.source - 1] = self._isolated_from(masks[move.source - 1])
+            isolated[move.target - 1] &= ~graph.adj_masks[move.vertex]
+            isolated[move.source - 1] = self.full ^ graph.neighborhood(masks[move.source - 1])
         else:
             for c in (move.color_a, move.color_b):
-                isolated[c - 1] = self._isolated_from(masks[c - 1])
+                isolated[c - 1] = self.full ^ graph.neighborhood(masks[c - 1])
 
     def _select_relocate(self, at: int) -> RelocateMove | None:
         """Bit-parallel ``select_move`` over the relocations.
@@ -387,18 +389,15 @@ class TabuSearchRun:
                     level[idx] |= ms & movers
                     idx -= 1
             start += 1
-        class_until = self.tabu.class_until
-        if class_until:
-            for c, until in class_until.items():
-                if until >= at:
-                    # c as the source, then as the target
-                    ms = masks[c - 1]
-                    for idx in range(tabu_from, top):
-                        level[idx] &= ~ms
-                    for s in range(k):
-                        idx = k - 1 + (c - 1 - s)
-                        if idx >= tabu_from:
-                            level[idx] &= ~masks[s]
+        for c in self.tabu.live_class_locks(at):
+            # c as the source, then as the target
+            ms = masks[c - 1]
+            for idx in range(tabu_from, top):
+                level[idx] &= ~ms
+            for s in range(k):
+                idx = k - 1 + (c - 1 - s)
+                if idx >= tabu_from:
+                    level[idx] &= ~masks[s]
         vertex_until = self.tabu.vertex_until
         if vertex_until:
             live = {key: until for key, until in vertex_until.items() if until >= at}
@@ -456,8 +455,8 @@ class TabuSearchRun:
         k = current.k
         rng = self.rng
         pair_until = self.tabu.pair_until
-        class_until = self.tabu.class_until
-        class_active = [class_until.get(c, 0) >= at for c in range(k + 1)] if class_until else None
+        class_until = self.tabu.live_class_locks(at)
+        class_active = [c in class_until for c in range(k + 1)] if class_until else None
         aspire_gap = self.best.sum - current.sum
         chosen = None
         # sentinel above every delta (|b - a| < k, a component has <= n
@@ -479,7 +478,7 @@ class TabuSearchRun:
                     if comps is None:
                         if len(components) >= _COMPONENT_MEMO_SIZE:
                             components.clear()
-                        comps = components[linked] = component_masks(linked)
+                        comps = components[linked] = component_masks(linked, mask_a)
                     moves = []
                     low = top
                     for comp in comps:

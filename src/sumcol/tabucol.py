@@ -99,7 +99,8 @@ def tabucol(graph: Graph, k: int, params: TabucolParams, rng: random.Random) -> 
     """Search for a proper k-coloring; None if none found within budget.
 
     A k below ``greedy_clique(graph)`` cannot be colored, so it returns None
-    at once without drawing from ``rng``.  Otherwise runs up to
+    at once without drawing from ``rng``; the clique is grown on the first
+    call for a graph and kept in ``graph.clique_size``.  Otherwise runs up to
     ``params.restarts`` attempts from fresh uniform random assignments,
     each limited to ``params.iteration_budget`` iterations and ended early
     after ``_IDLE_LIMIT`` (10,000) iterations without a new fewest-conflicts
@@ -111,7 +112,10 @@ def tabucol(graph: Graph, k: int, params: TabucolParams, rng: random.Random) -> 
     n = graph.n
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
-    if k < greedy_clique(graph):
+    clique = graph.clique_size
+    if clique is None:
+        clique = graph.clique_size = greedy_clique(graph)
+    if k < clique:
         return None
     for _ in range(params.restarts):
         sol = _tabucol_attempt(graph, k, params, rng)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -114,6 +115,77 @@ def test_components_ordered_by_smallest_member():
     g = Graph.from_edges(6, [(0, 5), (1, 2)])
     comps = components(g, range(6))
     assert comps == [{0, 5}, {1, 2}, {3}, {4}]
+
+
+def test_side_search_matches_plain_search_and_union_find():
+    """With one class of a proper coloring as the side, the search from the
+    smaller side returns the plain search's list, and both agree with
+    union-find: on every class pair's whole union (whose isolated vertices
+    are singletons), on its linked part, and on a single class."""
+    rng = random.Random(37)
+    for _ in range(60):
+        n = rng.randint(1, 24)
+        edges = oracles.random_gnp(n, rng.choice((0.1, 0.3, 0.6)), rng)
+        g = Graph.from_edges(n, edges)
+        adj = oracles.adjacency_sets(n, edges)
+        assignment = oracles.random_proper_assignment(n, edges, rng)
+        classes = {}
+        for v, c in enumerate(assignment):
+            classes[c] = classes.get(c, 0) | 1 << v
+        colors = sorted(classes)
+        for i, a in enumerate(colors):
+            for b in colors[i:]:
+                mask_a, mask_b = classes[a], classes[b]
+                union = mask_a | mask_b
+                linked = sum(1 << v for v in bits(union)
+                             if any(assignment[u] == (b if assignment[v] == a else a) for u in adj[v]))
+                for subset in (union, linked):
+                    plain = g.component_masks(subset)
+                    reference = oracles.union_find_components(n, edges, list(bits(subset)))
+                    assert {frozenset(bits(c)) for c in plain} == set(reference)
+                    # only the side's bits inside the subset count
+                    outside = rng.getrandbits(n) & ~subset
+                    for side in (mask_a, mask_b, mask_a | outside):
+                        if subset & side:
+                            assert g.component_masks(subset, side) == plain
+
+
+def test_side_search_merges_components_through_shared_neighbors():
+    # the path 0-1-2-3-4-5 and the isolated 6, classes {0, 2, 4, 6} and {1, 3, 5}
+    g = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
+    evens, odds = 0b1010101, 0b0101010
+    whole = [0b0111111, 0b1000000]
+    assert g.component_masks(evens | odds) == whole
+    assert g.component_masks(evens | odds, evens) == whole
+    assert g.component_masks(evens | odds, odds) == whole
+    # without 1 and 5: {0}, {2, 3, 4} and {6}
+    assert g.component_masks(0b1011101, odds) == [0b1, 0b11100, 0b1000000]
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 64, 191])
+def test_neighborhood_matches_the_per_vertex_or(n):
+    """Small sets walk their vertices and never build the byte tables;
+    sets above sqrt(n) vertices read them (none exist at n <= 1)."""
+    rng = random.Random(n)
+    edges = oracles.random_gnp(n, 0.2, rng)
+    g = Graph.from_edges(n, edges)
+    adj = oracles.adjacency_sets(n, edges)
+
+    def check(size):
+        for _ in range(5):
+            members = rng.sample(range(n), size)
+            expected = sum(1 << u for u in set().union(*(adj[v] for v in members)))
+            assert g.neighborhood(sum(1 << v for v in members)) == expected
+
+    switch = math.isqrt(n)
+    for size in range(switch + 1):
+        check(size)
+    assert g._byte_tables is None
+    for size in {switch + 1, switch + 2, n // 2, n}:
+        if switch < size <= n:
+            check(size)
+    if n > 1:
+        assert len(g._byte_tables) == (n + 7) // 8
 
 
 def test_empty_graph():

@@ -128,6 +128,7 @@ def test_relocation_selection_matches_select_move_on_random_graphs():
         assert run.rng.getstate() == reference_rng.getstate()
         assert run.tabu.vertex_until == {
             key: until for key, until in before.vertex_until.items() if until >= at}
+        assert run.tabu.class_until == {c: until for c, until in before.class_until.items() if until >= at}
         superseded += _superseded_draws(moves, before, run.best.sum, run.current.sum) > 0
         blocked += move is None
     assert superseded and blocked
@@ -181,7 +182,8 @@ def _searched_masks(monkeypatch) -> list[int]:
     """Record every linked set handed to ``Graph.component_masks``."""
     searched = []
     search = Graph.component_masks
-    monkeypatch.setattr(Graph, "component_masks", lambda graph, mask: searched.append(mask) or search(graph, mask))
+    monkeypatch.setattr(Graph, "component_masks",
+                        lambda graph, mask, side=0: searched.append(mask) or search(graph, mask, side))
     return searched
 
 
@@ -290,6 +292,27 @@ def test_relocation_selection_keeps_only_live_locks(myciel4, monkeypatch):
     monkeypatch.setattr(TabuSearchRun, "_select_relocate", checked)
     _relocation_only_search(myciel4)
     assert len(sizes) == 1500 and max(sizes) > 0
+
+
+def test_selections_keep_only_live_class_locks(myciel4, monkeypatch):
+    """A perturbation's class locks are dropped by the first selection of
+    either neighborhood after they expire."""
+    seen = []
+    for name in ("_select_exchange", "_select_relocate"):
+        def checked(run, at, select=getattr(TabuSearchRun, name)):
+            had_locks = bool(run.tabu.class_until)
+            move = select(run, at)
+            assert all(until >= at for until in run.tabu.class_until.values())
+            seen.append((had_locks, bool(run.tabu.class_until)))
+            return move
+
+        monkeypatch.setattr(TabuSearchRun, name, checked)
+    rng = random.Random(5)
+    start = initial_coloring(myciel4, TabucolParams(), rng)
+    tabu_search(start, myciel4, small_params(stall_limit=80), rng, validate=True)
+    assert len(seen) == 1500
+    # locks were live at some selections and dropped at a later one
+    assert (True, True) in seen and (True, False) in seen
 
 
 def test_validation_catches_a_prune_that_drops_a_live_lock(myciel4, monkeypatch):

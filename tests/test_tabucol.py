@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import sumcol.tabucol as tabucol_module
 from sumcol import Graph, TabucolParams, is_proper
 from sumcol.bench import load_instance, load_manifest
 from sumcol.coloring import canonical_relabel
@@ -174,6 +175,27 @@ def test_generate_population_includes_warm_start(myciel3):
     members = generate_population(myciel3, 6, TabucolParams(), rng, include=warm)
     assert len(members) == 6
     assert tuple(warm.assignment) in {tuple(m.assignment) for m in members}
+
+
+def test_greedy_clique_is_grown_once_per_graph(monkeypatch):
+    """``tabucol`` keeps the clique size on the graph: a population build
+    grows it once, and a build on a graph that already holds it draws the
+    same colorings."""
+    calls = {"greedy_clique": 0, "tabucol": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(tabucol_module, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(tabucol_module, name, counted)
+    g = require_instance("queen5_5")
+    assert g.clique_size is None
+    members = generate_population(g, 10, TabucolParams(), random.Random(3))
+    assert calls["tabucol"] > 10 and calls["greedy_clique"] == 1
+    assert g.clique_size == 5
+    again = generate_population(g, 10, TabucolParams(), random.Random(3))
+    assert calls["greedy_clique"] == 1
+    assert [m.assignment for m in again] == [m.assignment for m in members]
 
 
 def test_generate_population_fails_when_too_few_partitions_exist():
