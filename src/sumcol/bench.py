@@ -17,7 +17,6 @@ import os
 import random
 import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -293,6 +292,9 @@ def run_instance(
         for i in range(runs)
     ]
     if jobs > 1:
+        # imported here, so that `import sumcol` does not pay for it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_once, *zip(*tasks)))
     else:

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 from .coloring import Coloring, canonical_relabel, hamming_distance, is_proper
 from .graph import Graph, bits
-from .tabu_search import SearchStats, TabuSearchParams, reservoir_min, tabu_search
+from .tabu_search import SearchStats, TabuSearchParams, tabu_search, uniform_min
 from .tabucol import PopulationInitError, TabucolParams, generate_population
 
 
@@ -76,7 +76,7 @@ def partition_crossover(parents: Sequence[Coloring], graph: Graph, rng: random.R
     color = 0
     while remaining:
         color += 1
-        chosen = reservoir_min(
+        chosen = uniform_min(
             ((-m.bit_count(), (j, ci))
              for j, barred in enumerate(barred_until) if barred < color
              for ci, m in enumerate(residual[j]) if m),
@@ -135,13 +135,13 @@ def update_population(
     n = offspring.n
     scores = [diversity_score(i, pool, n) for i in range(len(pool))]
     negated = [(-score, i) for i, score in enumerate(scores)]
-    worst = reservoir_min(negated, rng)
+    worst = uniform_min(negated, rng)
     last = len(pool) - 1
     if worst != last:
         population[worst] = offspring
         return True
     if rng.random() < replace_second_worst_probability:
-        population[reservoir_min(negated[:last], rng)] = offspring
+        population[uniform_min(negated[:last], rng)] = offspring
         return True
     return False
 

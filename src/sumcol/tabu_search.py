@@ -27,8 +27,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from itertools import accumulate
-from operator import or_
 from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 from .coloring import Coloring, canonical_relabel, is_proper
@@ -88,8 +86,7 @@ class TabuState:
     ``iteration`` counts completed iterations; an entry with expiry e is
     active for every iteration number <= e.  Fresh state is empty: nothing
     is tabu at the start of a call.  ``vertex_until`` maps (vertex, locked
-    class) to its expiry; relocation selection drops its expired entries.
-    Both selections drop the expired ``class_until`` entries, by rebinding.
+    class) to its expiry.  Both selections start with ``drop_expired``.
     """
 
     iteration: int = 0
@@ -110,12 +107,13 @@ class TabuState:
                 return True
         return self.vertex_until.get((vertex, target), 0) >= at
 
-    def live_class_locks(self, at: int) -> dict[int, int]:
-        """Drop the class locks expired before iteration ``at``; returns the
-        rest, all active at ``at``."""
+    def drop_expired(self, at: int) -> None:
+        """Drop the vertex and class locks expired before iteration ``at``,
+        by rebinding: every lock left is active at ``at``."""
+        if self.vertex_until:
+            self.vertex_until = {key: until for key, until in self.vertex_until.items() if until >= at}
         if self.class_until:
             self.class_until = {c: until for c, until in self.class_until.items() if until >= at}
-        return self.class_until
 
 
 @dataclass
@@ -160,30 +158,26 @@ def enumerate_relocate_moves(coloring: Coloring, graph: Graph) -> list[RelocateM
     return moves
 
 
-def reservoir_min(candidates: Iterable[tuple[float, T]], rng: random.Random) -> T | None:
+def uniform_min(candidates: Iterable[tuple[float, T]], rng: random.Random) -> T | None:
     """Item of the smallest key among ``(key, item)`` pairs, ties broken
-    uniformly at random by reservoir sampling; None when there are none.
+    uniformly at random; None when there are none.
 
-    The i-th candidate tied with the smallest key so far (i >= 2) replaces
-    the pick with probability 1/i, at the cost of one ``rng.random()``
-    draw; no other candidate draws.  The hot selection loops inline this
+    The items tied at the smallest key are collected in enumeration order
+    and, when there are several, ``rng.randrange(len(tied))`` picks one: a
+    unique minimum makes no draw.  The hot selection loops inline this
     rule and must keep its draws identical.
     """
-    chosen = None
+    tied: list[T] = []
     best = None
-    ties = 0
     for key, item in candidates:
-        if ties and key > best:
-            continue
-        if not ties or key < best:
+        if not tied or key < best:
             best = key
-            chosen = item
-            ties = 1
-        else:
-            ties += 1
-            if rng.random() * ties < 1.0:
-                chosen = item
-    return chosen
+            tied = [item]
+        elif key == best:
+            tied.append(item)
+    if len(tied) > 1:
+        return tied[rng.randrange(len(tied))]
+    return tied[0] if tied else None
 
 
 def select_move(
@@ -203,7 +197,7 @@ def select_move(
             return tabu.relocate_tabu(move.vertex, move.source, move.target, at)
         return tabu.exchange_tabu(move.color_a, move.color_b, at)
 
-    return reservoir_min(
+    return uniform_min(
         ((move.delta, move) for move in moves if move.delta < aspire_gap or not is_tabu(move)),
         rng,
     )
@@ -259,8 +253,8 @@ class TabuSearchRun:
     relocation's target class only drops the mover's neighbors.
 
     Relocation selection is bit-parallel: it builds one level mask per sum
-    delta from the class and isolated masks, and masks out the live
-    relocation locks, the only entries it keeps in ``tabu.vertex_until``.
+    delta from the class and isolated masks, masks out the live locks, and
+    draws one vertex of the lowest non-empty level.
 
     Exchange moves are cached per class pair in flat rows,
     ``pair_cache[a][b] = (mask_a, mask_b, low, [(delta, mask), ...])``
@@ -323,8 +317,9 @@ class TabuSearchRun:
         while idle < idle_limit and self.tabu.iteration < budget:
             at = self.tabu.iteration + 1
             if self.validate:
-                # the selections prune the lock dicts: replay on a copy
-                tabu = replace(self.tabu, vertex_until=dict(self.tabu.vertex_until))
+                # the selections rebind the lock dicts they prune, so a
+                # shallow copy keeps the state they start from
+                tabu = replace(self.tabu)
                 rng_state = self.rng.getstate()
             if kind == EXCHANGE:
                 move = self._select_exchange(at)
@@ -363,16 +358,18 @@ class TabuSearchRun:
         """Bit-parallel ``select_move`` over the relocations.
 
         ``level[k - 1 + d]`` holds the vertices with an admissible move of
-        delta d.  Targets ascend within a vertex, so in the enumeration
-        order of ``select_move`` only a vertex's smallest admissible delta
-        can be examined: the reservoir runs over vertices in order, keyed
-        by that delta, and a tie at a level later superseded still draws.
+        delta d.  A vertex has at most one move of each delta, so the first
+        non-empty level holds the tied moves one per vertex, in the vertex
+        order of ``select_move``'s enumeration: ``uniform_min``'s draw
+        picks the vertex of that rank.
         """
         current = self.current
         masks = current.class_masks
         isolated = self.isolated
         assignment = current.assignment
         k = current.k
+        tabu = self.tabu
+        tabu.drop_expired(at)
         top = 2 * k - 1
         aspire_gap = self.best.sum - current.sum
         # the first level whose tabu moves do not aspirate
@@ -389,7 +386,7 @@ class TabuSearchRun:
                     level[idx] |= ms & movers
                     idx -= 1
             start += 1
-        for c in self.tabu.live_class_locks(at):
+        for c in tabu.class_until:
             # c as the source, then as the target
             ms = masks[c - 1]
             for idx in range(tabu_from, top):
@@ -398,52 +395,22 @@ class TabuSearchRun:
                 idx = k - 1 + (c - 1 - s)
                 if idx >= tabu_from:
                     level[idx] &= ~masks[s]
-        vertex_until = self.tabu.vertex_until
-        if vertex_until:
-            live = {key: until for key, until in vertex_until.items() if until >= at}
-            self.tabu.vertex_until = live
-            for v, target in live:
-                idx = k - 1 + target - assignment[v]
-                if idx >= tabu_from:
-                    level[idx] &= ~(1 << v)
-        # prefix ORs: level[i] becomes the vertices whose smallest
-        # admissible delta is at most i - (k - 1)
-        level = list(accumulate(level, or_))
-        acc = level[-1]
-        if not acc:
+        for v, target in tabu.vertex_until:
+            idx = k - 1 + target - assignment[v]
+            if idx >= tabu_from:
+                level[idx] &= ~(1 << v)
+        for idx, tied in enumerate(level):
+            if tied:
+                break
+        else:
             return None
-        # the prefix ORs only grow, so their zeros come first
-        floor = level.count(0)
-        rng = self.rng
-        # walk the running minima: each record vertex lowers the level;
-        # the vertices tied with it before the next record each draw once
-        low = acc & -acc
-        idx = floor
-        while not level[idx] & low:
-            idx += 1
-        while idx > floor:
-            above = -(low << 1)
-            lower = level[idx - 1] & above
-            record = lower & -lower
-            for _ in range((level[idx] & above & (record - 1)).bit_count()):
-                rng.random()
-            low = record
-            idx -= 1
-            while idx > floor and level[idx - 1] & low:
-                idx -= 1
-        # the reservoir over the final level, as reservoir_min draws it
-        chosen = low
-        ties = 1
-        rest = level[floor] & -(low << 1)
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            ties += 1
-            if rng.random() * ties < 1.0:
-                chosen = bit
-        v = chosen.bit_length() - 1
+        ties = tied.bit_count()
+        if ties > 1:
+            for _ in range(self.rng.randrange(ties)):
+                tied &= tied - 1
+        v = (tied & -tied).bit_length() - 1
         source = assignment[v]
-        delta = floor - (k - 1)
+        delta = idx - (k - 1)
         return RelocateMove(v, source, source + delta, delta)
 
     def _select_exchange(self, at: int) -> ExchangeMove | None:
@@ -453,20 +420,19 @@ class TabuSearchRun:
         masks = current.class_masks
         isolated = self.isolated
         k = current.k
-        rng = self.rng
-        pair_until = self.tabu.pair_until
-        class_until = self.tabu.live_class_locks(at)
-        class_active = [c in class_until for c in range(k + 1)] if class_until else None
+        tabu = self.tabu
+        tabu.drop_expired(at)
+        pair_until = tabu.pair_until
+        class_until = tabu.class_until
         aspire_gap = self.best.sum - current.sum
-        chosen = None
+        # the (comp, a, b) of the moves tied at best_delta, as uniform_min collects them
+        tied = []
         # sentinel above every delta (|b - a| < k, a component has <= n
         # vertices); also the low of a pair without moves
         best_delta = top = k * self.graph.n
-        ties = 0
-        # the tie-break follows reservoir_min draw for draw
         nonempty = [c for c in range(1, k + 1) if masks[c - 1]]
         for i, a in enumerate(nonempty):
-            a_active = class_active[a] if class_active else False
+            a_locked = a in class_until
             mask_a = masks[a - 1]
             row = self.pair_cache[a]
             for b in nonempty[i + 1:]:
@@ -489,14 +455,10 @@ class TabuSearchRun:
                     row[b] = (mask_a, mask_b, low, moves)
                 else:
                     low, moves = entry[2], entry[3]
-                # no move of a skipped pair could be examined, so none draws
+                # no move of a skipped pair could be tied at the minimum
                 if low > best_delta:
                     continue
-                pair_tabu = (
-                    a_active
-                    or (class_active[b] if class_active else False)
-                    or pair_until.get((a, b), 0) >= at
-                )
+                pair_tabu = a_locked or b in class_until or pair_until.get((a, b), 0) >= at
                 if pair_tabu and low >= aspire_gap:
                     continue
                 for delta, comp in moves:
@@ -506,14 +468,12 @@ class TabuSearchRun:
                         continue
                     if delta < best_delta:
                         best_delta = delta
-                        chosen = (comp, a, b)
-                        ties = 1
+                        tied = [(comp, a, b)]
                     else:
-                        ties += 1
-                        if rng.random() * ties < 1.0:
-                            chosen = (comp, a, b)
-        if chosen is None:
+                        tied.append((comp, a, b))
+        if not tied:
             return None
+        chosen = tied[self.rng.randrange(len(tied))] if len(tied) > 1 else tied[0]
         return ExchangeMove(*chosen, best_delta)
 
     def _check_selection(self, kind: str, move: Move | None, tabu: TabuState, rng_state: tuple) -> None:

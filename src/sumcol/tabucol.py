@@ -144,12 +144,11 @@ def _tabucol_attempt(graph: Graph, k: int, params: TabucolParams, rng: random.Ra
     slope = params.tenure_slope
     base = params.tenure_base
     for it in range(1, params.iteration_budget + 1):
-        chosen = None
+        # the (v, c) of the moves tied at chosen_delta, as uniform_min collects them
+        tied = []
         # sentinel above every delta (a delta is at most degree - 1 < n)
         chosen_delta = n
-        ties = 0
         aspire_gap = best - conflicts
-        # the tie-break follows reservoir_min draw for draw
         for v in range(n):
             row = counts[v]
             own = colors[v] - 1
@@ -165,15 +164,12 @@ def _tabucol_attempt(graph: Graph, k: int, params: TabucolParams, rng: random.Ra
                     continue
                 if delta < chosen_delta:
                     chosen_delta = delta
-                    chosen = (v, c)
-                    ties = 1
+                    tied = [(v, c)]
                 else:
-                    ties += 1
-                    if rng.random() * ties < 1.0:
-                        chosen = (v, c)
-        if chosen is None:
+                    tied.append((v, c))
+        if not tied:
             continue
-        v, c = chosen
+        v, c = tied[rng.randrange(len(tied))] if len(tied) > 1 else tied[0]
         old = colors[v] - 1
         colors[v] = c + 1
         for u in adj_lists[v]:

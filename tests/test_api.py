@@ -55,3 +55,9 @@ def test_package_root_is_the_documented_api():
 def test_package_runs_as_a_module():
     proc = _fresh_interpreter("-m", "sumcol", "--help")
     assert "solve" in proc.stdout
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # run_instance imports it only when it spreads runs over processes
+    proc = _fresh_interpreter("-c", "import sys, sumcol; print('concurrent.futures' in sys.modules)")
+    assert proc.stdout.strip() == "False"

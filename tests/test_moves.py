@@ -12,8 +12,8 @@ from sumcol.tabu_search import (
     enumerate_exchange_moves,
     enumerate_relocate_moves,
     perturb,
-    reservoir_min,
     select_move,
+    uniform_min,
 )
 
 import oracles
@@ -128,6 +128,19 @@ def test_tabu_state_expiry_semantics():
     assert not tabu.relocate_tabu(7, 1, 3, at=3)
 
 
+def test_drop_expired_keeps_exactly_the_live_locks():
+    tabu = TabuState()
+    tabu.vertex_until.update({(0, 1): 4, (1, 2): 5, (2, 1): 9})
+    tabu.class_until.update({1: 3, 2: 5})
+    tabu.pair_until[(1, 2)] = 2
+    tabu.drop_expired(at=5)
+    assert tabu.vertex_until == {(1, 2): 5, (2, 1): 9}
+    assert tabu.class_until == {2: 5}
+    assert tabu.pair_until == {(1, 2): 2}  # pair locks are not pruned
+    tabu.drop_expired(at=10)
+    assert tabu.vertex_until == {} and tabu.class_until == {}
+
+
 def test_class_locks_block_both_neighborhoods():
     tabu = TabuState()
     tabu.class_until[3] = 4
@@ -182,19 +195,19 @@ def test_select_move_breaks_ties_uniformly():
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
-def test_reservoir_min_draws_once_per_tie_and_picks_uniformly(m):
-    assert reservoir_min([], random.Random(0)) is None
+def test_uniform_min_draws_once_per_tie_and_picks_uniformly(m):
+    assert uniform_min([], random.Random(0)) is None
     tied = [(-1, f"t{i}") for i in range(m)]
-    # a larger key before the minimum and after it, neither tied
-    candidates = [(4, "before")] + tied[:1] + [(2, "after")] + tied[1:]
+    # a tie at a larger key before the minimum, and a larger key after it
+    candidates = [(4, "before"), (4, "also before")] + tied[:1] + [(2, "after")] + tied[1:]
     for seed in range(5):
         rng, reference = random.Random(seed), random.Random(seed)
-        assert reservoir_min(candidates, rng) in {item for _, item in tied}
-        for _ in range(m - 1):
-            reference.random()
+        # one draw over the final ties, none for a unique minimum
+        r = reference.randrange(m) if m > 1 else 0
+        assert uniform_min(candidates, rng) == tied[r][1]
         assert rng.getstate() == reference.getstate()
     seeds = 2000
-    picks = Counter(reservoir_min(candidates, random.Random(seed)) for seed in range(seeds))
+    picks = Counter(uniform_min(candidates, random.Random(seed)) for seed in range(seeds))
     assert set(picks) == {item for _, item in tied}
     for count in picks.values():
         assert abs(count / seeds - 1 / m) < 0.04

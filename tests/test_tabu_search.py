@@ -80,7 +80,8 @@ def test_validated_runs_on_random_graphs():
 
 
 def _superseded_draws(moves, tabu, best_sum, current_sum):
-    """Tie draws ``select_move`` makes at a delta above the one it returns."""
+    """Ties ``select_move`` meets at a delta above the one it returns; none
+    of them may draw."""
     at = tabu.iteration + 1
     gap = best_sum - current_sum
     keys = [m.delta for m in moves

@@ -9,6 +9,7 @@ import sumcol.tabucol as tabucol_module
 from sumcol import Graph, TabucolParams, is_proper
 from sumcol.bench import load_instance, load_manifest
 from sumcol.coloring import canonical_relabel
+from sumcol.tabu_search import uniform_min
 from sumcol.tabucol import (
     PopulationInitError,
     generate_population,
@@ -100,6 +101,55 @@ def test_tabucol_gives_up_below_chromatic_number():
     assert greedy_clique(c5) == 2
     assert tabucol(c5, 2, params, rng) is None
     assert rng.getstate() != state
+
+
+def _reference_one_move_attempt(graph, k, params, rng):
+    """One TABUCOL iteration as specified: uniform initial colors, the
+    ``uniform_min`` repair among the conflicting vertices' recolorings in
+    vertex then color order, then the tenure draw.  Returns the assignment
+    when it is proper (else None) and the number of repairs tied."""
+    adj = graph.adj_lists
+    colors = [rng.randrange(k) + 1 for _ in range(graph.n)]
+
+    def conflicts():
+        return sum(colors[u] == colors[v] for v in range(graph.n) for u in adj[v]) // 2
+
+    ties = 0
+    if conflicts():
+        repairs = []
+        for v in range(graph.n):
+            own = sum(colors[u] == colors[v] for u in adj[v])
+            if own:
+                repairs += [(sum(colors[u] == c for u in adj[v]) - own, (v, c))
+                            for c in range(1, k + 1) if c != colors[v]]
+        least = min(delta for delta, _ in repairs)
+        ties = sum(delta == least for delta, _ in repairs)
+        v, c = uniform_min(repairs, rng)
+        colors[v] = c
+        rng.randint(0, params.tenure_base)
+    return (None if conflicts() else colors), ties
+
+
+def test_tabucol_move_follows_uniform_min():
+    """With a one-iteration budget an attempt makes at most one move; where
+    the move clears the last conflict the attempt returns the coloring, so
+    its pick among the tied repairs shows, and the draws must match."""
+    rng = random.Random(37)
+    params = TabucolParams(iteration_budget=1, restarts=1)
+    picked = 0
+    for case in range(400):
+        n = rng.randint(3, 10)
+        graph = Graph.from_edges(n, oracles.random_gnp(n, rng.choice((0.2, 0.35, 0.5)), rng))
+        k = max(greedy_clique(graph), rng.randint(2, 4))
+        if k > n:
+            continue
+        ours, reference = random.Random(case), random.Random(case)
+        expected, ties = _reference_one_move_attempt(graph, k, params, reference)
+        result = tabucol(graph, k, params, ours)
+        assert (result.assignment if result else None) == expected
+        assert ours.getstate() == reference.getstate()
+        picked += expected is not None and ties > 1
+    assert picked >= 50
 
 
 class _CountingRandom(random.Random):
