@@ -272,8 +272,8 @@ def run_instance(
 
     ``target`` (mode "masc" only) stops a run early once its
     best sum reaches the value; summary sums are unaffected because the
-    incumbent is monotone.  ``jobs`` > 1 spreads runs over processes; row
-    order and therefore report content match the sequential result.
+    incumbent is monotone.  Runs spread over ``min(jobs, runs)`` worker
+    processes; row order, and so the report, match the sequential result.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -291,11 +291,12 @@ def run_instance(
         (graph, mode, run_seed(base_seed, i), params, warm_start, target, validate)
         for i in range(runs)
     ]
-    if jobs > 1:
+    workers = min(jobs, runs)
+    if workers > 1:
         # imported here, so that `import sumcol` does not pay for it
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_once, *zip(*tasks)))
     else:
         results = [_run_once(*task) for task in tasks]

@@ -3,11 +3,10 @@
 Vertices are 0-based ints internally; all file formats use 1-based ids.
 Adjacency is kept as one bitmask per vertex (fast set algebra, O(1)
 membership) and one tuple of neighbours per vertex (fast iteration).  A
-graph also fills two caches of derived data on first use, freed with it:
-byte tables that give the neighbourhood of a large vertex set one byte at
-a time (about 4n^2 bytes, see ``Graph.neighborhood``), and the size of a
-greedy clique (see ``tabucol.greedy_clique``).  Graphs are immutable once
-built.
+graph also fills two private caches of derived data on first use, freed
+with it: byte tables that give the neighbourhood of a large vertex set one
+byte at a time (about 4n^2 bytes, see ``Graph.neighborhood``), and the size
+of a greedy clique (``Graph.clique_size``).  Graphs are immutable.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ class DimacsParseError(ValueError):
 class Graph:
     """Immutable undirected simple graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "edge_count", "adj_masks", "adj_lists", "_byte_tables", "clique_size")
+    __slots__ = ("n", "edge_count", "adj_masks", "adj_lists", "_byte_tables", "_clique_size")
 
     def __init__(self, n: int, adj_masks: list[int]):
         self.n = n
@@ -36,8 +35,7 @@ class Graph:
         self.adj_lists: list[tuple[int, ...]] = [tuple(bits(m)) for m in adj_masks]
         self.edge_count = sum(len(a) for a in self.adj_lists) // 2
         self._byte_tables: list[list[int]] | None = None
-        # filled by the first ``tabucol`` call on this graph
-        self.clique_size: int | None = None
+        self._clique_size: int | None = None
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -63,6 +61,13 @@ class Graph:
             for v in self.adj_lists[u]:
                 if u < v:
                     yield u, v
+
+    @property
+    def clique_size(self) -> int:
+        """``greedy_clique(self)``, a lower bound on k; grown on first use."""
+        if self._clique_size is None:
+            self._clique_size = greedy_clique(self)
+        return self._clique_size
 
     def neighborhood(self, mask: int) -> int:
         """Vertices with a neighbor among the ``mask`` vertices.
@@ -170,6 +175,21 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def greedy_clique(graph: Graph) -> int:
+    """Largest clique grown greedily from each vertex, adding the
+    lowest-numbered common neighbour; a lower bound on k."""
+    adj = graph.adj_masks
+    best = 0
+    for v in range(graph.n):
+        cand = adj[v]
+        size = 1
+        while cand:
+            cand &= adj[(cand & -cand).bit_length() - 1]
+            size += 1
+        best = max(best, size)
+    return best
 
 
 def parse_dimacs(text: str) -> Graph:

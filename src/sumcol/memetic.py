@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 from .coloring import Coloring, canonical_relabel, hamming_distance, is_proper
 from .graph import Graph, bits
 from .tabu_search import SearchStats, TabuSearchParams, tabu_search, uniform_min
-from .tabucol import PopulationInitError, TabucolParams, generate_population
+from .tabucol import TabucolParams, generate_population
 
 
 @dataclass
@@ -172,10 +172,7 @@ def memetic_search(
     """
     if warm_start is not None and not is_proper(warm_start, graph):
         raise ValueError("warm start coloring is not proper")
-    try:
-        population = generate_population(graph, params.population_size, params.init, rng, include=warm_start)
-    except PopulationInitError as exc:
-        population = exc.members
+    population = generate_population(graph, params.population_size, params.init, rng, include=warm_start)
     best = min(population, key=lambda m: m.sum)
     if on_improve is not None:
         on_improve(best.sum)

@@ -5,8 +5,8 @@ few classes.  This module provides the classical recipe: a greedy bound,
 then tabu search over improper k-colorings (minimizing the number of
 conflicting edges) at decreasing k until the budget stops certifying
 feasibility, then repeated runs at the smallest reached k to fill the pool.
-A greedy clique gives the lower bound: a k below its size is refused
-without an attempt, so a descent that reaches the clique size (the
+The graph's greedy clique (``Graph.clique_size``) is the lower bound: a k
+below it is refused without an attempt, so a descent that reaches it (the
 chromatic number equals the clique number) ends at once.
 
 An attempt also gives up after ``_IDLE_LIMIT`` (10,000) iterations without
@@ -27,14 +27,6 @@ from .graph import Graph
 
 # An attempt fails after this many iterations without a new best conflict count.
 _IDLE_LIMIT = 10_000
-
-
-class PopulationInitError(RuntimeError):
-    """Too few distinct colorings were built; ``members`` holds those that were."""
-
-    def __init__(self, message: str, members: list[Coloring] | None = None):
-        super().__init__(message)
-        self.members = members or []
 
 
 @dataclass
@@ -80,27 +72,12 @@ def greedy_coloring(graph: Graph) -> Coloring:
     return Coloring.from_assignment(colors)
 
 
-def greedy_clique(graph: Graph) -> int:
-    """Largest clique grown greedily from each vertex, adding the
-    lowest-numbered common neighbour; a lower bound on k."""
-    adj = graph.adj_masks
-    best = 0
-    for v in range(graph.n):
-        cand = adj[v]
-        size = 1
-        while cand:
-            cand &= adj[(cand & -cand).bit_length() - 1]
-            size += 1
-        best = max(best, size)
-    return best
-
-
 def tabucol(graph: Graph, k: int, params: TabucolParams, rng: random.Random) -> Coloring | None:
     """Search for a proper k-coloring; None if none found within budget.
 
-    A k below ``greedy_clique(graph)`` cannot be colored, so it returns None
-    at once without drawing from ``rng``; the clique is grown on the first
-    call for a graph and kept in ``graph.clique_size``.  Otherwise runs up to
+    A k below ``graph.clique_size``, the size of a clique the graph grows
+    once and keeps, cannot be colored, so it returns None at once without
+    drawing from ``rng``.  Otherwise runs up to
     ``params.restarts`` attempts from fresh uniform random assignments,
     each limited to ``params.iteration_budget`` iterations and ended early
     after ``_IDLE_LIMIT`` (10,000) iterations without a new fewest-conflicts
@@ -112,10 +89,7 @@ def tabucol(graph: Graph, k: int, params: TabucolParams, rng: random.Random) -> 
     n = graph.n
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
-    clique = graph.clique_size
-    if clique is None:
-        clique = graph.clique_size = greedy_clique(graph)
-    if k < clique:
+    if k < graph.clique_size:
         return None
     for _ in range(params.restarts):
         sol = _tabucol_attempt(graph, k, params, rng)
@@ -209,14 +183,14 @@ def generate_population(
     rng: random.Random,
     include: Coloring | None = None,
 ) -> list[Coloring]:
-    """Build ``size`` pairwise-distinct proper colorings, canonically labeled.
+    """Build up to ``size`` pairwise-distinct canonical proper colorings.
 
     Distinctness means distinct partitions (canonical assignments differ).
     Colorings are collected at the smallest k the budget certifies; when
     repeated attempts stop producing new partitions there, collection moves
     to k+1.  ``include`` injects one externally supplied coloring (warm
-    start) as a member.  Raises PopulationInitError, carrying the members
-    built, if the pool cannot be filled within the retry budget.
+    start) as a member.  Fewer than ``size`` return when the retry budget
+    runs out first, as on a graph with fewer distinct partitions in reach.
     """
     if size < 1:
         raise ValueError(f"population size must be >= 1, got {size}")
@@ -249,9 +223,4 @@ def generate_population(
         if dup_streak >= 5 and level == k_min:
             level = k_min + 1
             dup_streak = 0
-    if len(members) < size:
-        raise PopulationInitError(
-            f"assembled only {len(members)} of {size} distinct colorings "
-            f"(n={graph.n}, m={graph.edge_count}, k={k_min}) within {max_attempts} attempts", members
-        )
     return members

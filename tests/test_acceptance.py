@@ -37,7 +37,7 @@ from sumcol.tabu_search import (
     apply_move,
     enumerate_exchange_moves,
 )
-from sumcol.tabucol import PopulationInitError, initial_coloring
+from sumcol.tabucol import initial_coloring
 
 import oracles
 from conftest import MANIFEST_PATH
@@ -163,20 +163,6 @@ def test_criterion_3_supplementary_mode_ordering_reduced_budget():
           + " ".join(f"{m}={v:.2f}" for m, v in means.items()))
 
 
-def _masc_exact_sum(graph, seed, target):
-    """Full search with the default population when the graph admits ten
-    distinct partitions, stepping the population down otherwise (tiny dense
-    graphs may not have that many proper partitions at the explored k)."""
-    for size in (10, 5, 3, 2):
-        try:
-            params = MemeticParams(population_size=size)
-            return memetic_search(graph, params, random.Random(seed), target=target).sum
-        except PopulationInitError:
-            continue
-    # fewer than two distinct partitions reachable: the descent result is it
-    return initial_coloring(graph, TabucolParams(), random.Random(seed)).sum
-
-
 def test_criterion_4_brute_force_equivalence_on_random_graphs():
     """On 50 random graphs (n <= 8, edge probability 0.5) the search finds
     exactly the sum an exhaustive partition enumeration proves optimal."""
@@ -187,7 +173,7 @@ def test_criterion_4_brute_force_equivalence_on_random_graphs():
         edges = oracles.random_gnp(n, 0.5, rng)
         truth = oracles.brute_force_chromatic_sum(n, edges)
         graph = Graph.from_edges(n, edges)
-        found = _masc_exact_sum(graph, seed=3000 + index, target=truth)
+        found = memetic_search(graph, MemeticParams(), random.Random(3000 + index), target=truth).sum
         assert found == truth, (
             f"graph {index} (n={n}, m={len(edges)}): search found {found}, optimum {truth}"
         )

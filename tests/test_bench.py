@@ -272,6 +272,35 @@ def test_run_instance_reports_identical_with_and_without_jobs(myciel3):
     assert render_report([sequential], "json") == render_report([parallel], "json")
 
 
+def test_run_instance_starts_at_most_one_worker_per_run(myciel3, monkeypatch):
+    """The pool is sized to the runs it has to spread, and a single run
+    needs none.  A fake pool records its size and maps in-process."""
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    record = myciel3_record()
+    kwargs = dict(base_seed=8, params=quick_params(), graph=myciel3, target=21)
+    run_instance(record, runs=2, jobs=8, **kwargs)
+    assert sizes == [2]
+    run_instance(record, runs=1, jobs=4, **kwargs)
+    assert sizes == [2]
+
+
 def test_run_instance_warm_start_bounds_result(myciel3):
     record = myciel3_record()
     base = run_instance(record, runs=1, base_seed=2, params=quick_params(),

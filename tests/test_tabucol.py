@@ -1,23 +1,17 @@
 import math
 import os
-import pickle
 import random
 
 import pytest
 
+import sumcol.graph as graph_module
 import sumcol.tabucol as tabucol_module
 from sumcol import Graph, TabucolParams, is_proper
 from sumcol.bench import load_instance, load_manifest
 from sumcol.coloring import canonical_relabel
+from sumcol.graph import greedy_clique
 from sumcol.tabu_search import uniform_min
-from sumcol.tabucol import (
-    PopulationInitError,
-    generate_population,
-    greedy_clique,
-    greedy_coloring,
-    initial_coloring,
-    tabucol,
-)
+from sumcol.tabucol import generate_population, greedy_coloring, initial_coloring, tabucol
 
 import oracles
 from conftest import MANIFEST_PATH, require_instance
@@ -228,33 +222,37 @@ def test_generate_population_includes_warm_start(myciel3):
 
 
 def test_greedy_clique_is_grown_once_per_graph(monkeypatch):
-    """``tabucol`` keeps the clique size on the graph: a population build
-    grows it once, and a build on a graph that already holds it draws the
-    same colorings."""
+    """The graph keeps its clique size: a population build grows it once,
+    and a build on a graph that already holds it draws the same colorings."""
     calls = {"greedy_clique": 0, "tabucol": 0}
-    for name in calls:
-        def counted(*args, _name=name, _fn=getattr(tabucol_module, name)):
+    for module, name in ((graph_module, "greedy_clique"), (tabucol_module, "tabucol")):
+        def counted(*args, _name=name, _fn=getattr(module, name)):
             calls[_name] += 1
             return _fn(*args)
 
-        monkeypatch.setattr(tabucol_module, name, counted)
+        monkeypatch.setattr(module, name, counted)
     g = require_instance("queen5_5")
-    assert g.clique_size is None
+    assert g._clique_size is None
     members = generate_population(g, 10, TabucolParams(), random.Random(3))
     assert calls["tabucol"] > 10 and calls["greedy_clique"] == 1
-    assert g.clique_size == 5
+    assert g._clique_size == g.clique_size == 5
     again = generate_population(g, 10, TabucolParams(), random.Random(3))
     assert calls["greedy_clique"] == 1
     assert [m.assignment for m in again] == [m.assignment for m in members]
+    with pytest.raises(AttributeError):
+        g.clique_size = 4
 
 
-def test_generate_population_fails_when_too_few_partitions_exist():
+def test_generate_population_returns_short_when_too_few_partitions_exist():
     # a complete graph has exactly one partition into independent sets
     g = complete_graph(3)
-    with pytest.raises(PopulationInitError, match="n=3") as caught:
-        generate_population(g, 5, TabucolParams(iteration_budget=300, restarts=1), random.Random(2))
-    # the error carries what was built, also across a process boundary
-    assert [m.assignment for m in caught.value.members] == [[1, 2, 3]]
-    again = pickle.loads(pickle.dumps(caught.value))
-    assert str(again) == str(caught.value)
-    assert [m.assignment for m in again.members] == [[1, 2, 3]]
+    members = generate_population(g, 5, TabucolParams(iteration_budget=300, restarts=1), random.Random(2))
+    assert [m.assignment for m in members] == [[1, 2, 3]]
+
+
+def test_generate_population_rejects_empty_size(myciel3):
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="population size"):
+        generate_population(myciel3, 0, TabucolParams(), rng)
+    assert rng.getstate() == state
