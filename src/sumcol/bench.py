@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .coloring import Coloring
-from .graph import Graph, load_dimacs
+from .graph import Graph, InputError, load_dimacs, naming_file
 from .memetic import MemeticParams, memetic_search
 from .tabu_search import (
     BOTH_NEIGHBORHOODS,
@@ -59,14 +59,6 @@ CSV_COLUMNS = {
 _MASK64 = (1 << 64) - 1
 
 
-class ManifestError(ValueError):
-    def __init__(self, message: str, line_no: int | None = None):
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
-        self.line_no = line_no
-
-
 @dataclass(frozen=True)
 class InstanceRecord:
     """One manifest row: where an instance lives and what is known about it."""
@@ -90,40 +82,40 @@ def load_manifest(path: str) -> list[InstanceRecord]:
     base = os.path.dirname(os.path.abspath(path))
     records: list[InstanceRecord] = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8") as handle, naming_file(path):
         for line_no, raw in enumerate(handle, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
             if len(parts) != 7:
-                raise ManifestError(f"expected 7 fields, got {len(parts)}", line_no)
+                raise InputError(f"expected 7 fields, got {len(parts)}", line_no)
             name, rel, n_s, m_s, best_s, bound_s, k_s = parts
             if name in seen:
-                raise ManifestError(f"duplicate instance name {name!r}", line_no)
+                raise InputError(f"duplicate instance name {name!r}", line_no)
             seen.add(name)
             try:
                 n = int(n_s)
                 m = int(m_s)
             except ValueError:
-                raise ManifestError(f"bad vertex/edge counts {n_s!r} {m_s!r}", line_no) from None
+                raise InputError(f"bad vertex/edge counts {n_s!r} {m_s!r}", line_no) from None
             if best_s == "--":
                 best = None
                 if bound_s != "--":
-                    raise ManifestError("bound given without a best value", line_no)
+                    raise InputError("bound given without a best value", line_no)
                 bound = None
             else:
                 try:
                     best = int(best_s)
                 except ValueError:
-                    raise ManifestError(f"bad best value {best_s!r}", line_no) from None
+                    raise InputError(f"bad best value {best_s!r}", line_no) from None
                 if bound_s not in ("exact", "ub"):
-                    raise ManifestError(f"bound must be 'exact' or 'ub', got {bound_s!r}", line_no)
+                    raise InputError(f"bound must be 'exact' or 'ub', got {bound_s!r}", line_no)
                 bound = bound_s == "exact"
             try:
                 k = None if k_s == "--" else int(k_s)
             except ValueError:
-                raise ManifestError(f"bad color count {k_s!r}", line_no) from None
+                raise InputError(f"bad color count {k_s!r}", line_no) from None
             records.append(InstanceRecord(name, os.path.join(base, rel), n, m, best, bound, k))
     return records
 
@@ -132,7 +124,7 @@ def load_instance(record: InstanceRecord) -> Graph:
     """Load a record's graph and check it against the declared sizes."""
     graph = load_dimacs(record.path)
     if graph.n != record.n or graph.edge_count != record.m:
-        raise ManifestError(
+        raise InputError(
             f"instance {record.name}: file has n={graph.n} m={graph.edge_count}, "
             f"manifest declares n={record.n} m={record.m}"
         )

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 
 from .bench import (
     MASC,
@@ -25,20 +25,18 @@ from .bench import (
 from .coloring import Coloring, load_coloring, save_coloring
 from .graph import load_dimacs
 from .memetic import MemeticParams
+from .tabu_search import TabuSearchParams
+from .tabucol import TabucolParams
 
-# --param keys and where each lands inside MemeticParams.
+# --param keys and where each lands inside MemeticParams: (section, field,
+# cast).  Every field with a plain default is a key, cast by its default's
+# type; TABUCOL's keys carry the prefix "init_".
 _PARAM_FIELDS = {
-    "population_size": ("", "population_size", int),
-    "max_generations": ("", "max_generations", int),
-    "replace_second_worst_probability": ("", "replace_second_worst_probability", float),
-    "exchange_idle_limit": ("tabu", "exchange_idle_limit", int),
-    "relocate_idle_limit": ("tabu", "relocate_idle_limit", int),
-    "stall_limit": ("tabu", "stall_limit", int),
-    "iteration_budget": ("tabu", "iteration_budget", int),
-    "init_iteration_budget": ("init", "iteration_budget", int),
-    "init_restarts": ("init", "restarts", int),
-    "init_tenure_base": ("init", "tenure_base", int),
-    "init_tenure_slope": ("init", "tenure_slope", float),
+    prefix + f.name: (section, f.name, type(f.default))
+    for section, prefix, params in (("", "", MemeticParams), ("tabu", "", TabuSearchParams),
+                                    ("init", "init_", TabucolParams))
+    for f in fields(params)
+    if f.default is not MISSING
 }
 
 

@@ -16,11 +16,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .graph import Graph, bits
-
-
-class ColoringFormatError(ValueError):
-    """Raised for malformed, incomplete, or improper coloring files."""
+from .graph import Graph, InputError, bits, naming_file
 
 
 class Coloring:
@@ -169,8 +165,9 @@ def parse_coloring(text: str, graph: Graph) -> Coloring:
 
     Rejects missing or repeated vertices, a header k above the vertex
     count, colors outside 1..k, a header sum that disagrees with the body,
-    and improper colorings.
-"""
+    and improper colorings, with an InputError that carries the number of
+    a refused line.
+    """
     header: tuple[int, int] | None = None
     seen: dict[int, int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -180,50 +177,50 @@ def parse_coloring(text: str, graph: Graph) -> Coloring:
         fields = line.split()
         if fields[0] == "s":
             if header is not None:
-                raise ColoringFormatError(f"line {line_no}: duplicate header")
+                raise InputError("duplicate header", line_no)
             if len(fields) != 3:
-                raise ColoringFormatError(f"line {line_no}: malformed header {line!r}")
+                raise InputError(f"malformed header {line!r}", line_no)
             try:
                 header = (int(fields[1]), int(fields[2]))
             except ValueError:
-                raise ColoringFormatError(f"line {line_no}: non-integer header {line!r}") from None
+                raise InputError(f"non-integer header {line!r}", line_no) from None
         elif fields[0] == "v":
             if header is None:
-                raise ColoringFormatError(f"line {line_no}: vertex line before header")
+                raise InputError("vertex line before header", line_no)
             if len(fields) != 3:
-                raise ColoringFormatError(f"line {line_no}: malformed vertex line {line!r}")
+                raise InputError(f"malformed vertex line {line!r}", line_no)
             try:
                 v, c = int(fields[1]), int(fields[2])
             except ValueError:
-                raise ColoringFormatError(f"line {line_no}: non-integer vertex line {line!r}") from None
+                raise InputError(f"non-integer vertex line {line!r}", line_no) from None
             if not 1 <= v <= graph.n:
-                raise ColoringFormatError(f"line {line_no}: vertex {v} outside 1..{graph.n}")
+                raise InputError(f"vertex {v} outside 1..{graph.n}", line_no)
             if v in seen:
-                raise ColoringFormatError(f"line {line_no}: vertex {v} assigned twice")
+                raise InputError(f"vertex {v} assigned twice", line_no)
             seen[v] = c
         else:
-            raise ColoringFormatError(f"line {line_no}: unrecognized line {line!r}")
+            raise InputError(f"unrecognized line {line!r}", line_no)
     if header is None:
-        raise ColoringFormatError("missing header line")
+        raise InputError("missing header line")
     total, k = header
     if k > graph.n:
-        raise ColoringFormatError(f"header k={k} exceeds the {graph.n} vertices")
+        raise InputError(f"header k={k} exceeds the {graph.n} vertices")
     missing = graph.n - len(seen)
     if missing:
-        raise ColoringFormatError(f"incomplete coloring: {missing} vertices unassigned")
+        raise InputError(f"incomplete coloring: {missing} vertices unassigned")
     colors = [seen[v] for v in range(1, graph.n + 1)]
     if any(not 1 <= c <= k for c in colors):
-        raise ColoringFormatError(f"colors outside 1..{k}")
+        raise InputError(f"colors outside 1..{k}")
     if sum(colors) != total:
-        raise ColoringFormatError(f"header sum {total} != actual {sum(colors)}")
+        raise InputError(f"header sum {total} != actual {sum(colors)}")
     coloring = Coloring.from_assignment(colors, k=k)
     if not is_proper(coloring, graph):
-        raise ColoringFormatError("coloring is not proper for this graph")
+        raise InputError("coloring is not proper for this graph")
     return coloring
 
 
 def load_coloring(path: str, graph: Graph) -> Coloring:
-    with open(path, "r", encoding="ascii", errors="replace") as fh:
+    with open(path, "r", encoding="ascii", errors="replace") as fh, naming_file(path):
         return parse_coloring(fh.read(), graph)
 
 

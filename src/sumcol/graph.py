@@ -11,17 +11,29 @@ of a greedy clique (``Graph.clique_size``).  Graphs are immutable.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Iterable, Iterator
 
 
-class DimacsParseError(ValueError):
-    """Raised on malformed DIMACS input; carries the offending line number."""
+class InputError(ValueError):
+    """A malformed input file: a graph, a manifest or a coloring.  Carries
+    the offending line number, or None when the file as a whole is refused."""
 
     def __init__(self, message: str, line_no: int | None = None):
         if line_no is not None:
             message = f"line {line_no}: {message}"
         super().__init__(message)
         self.line_no = line_no
+
+
+@contextmanager
+def naming_file(path: str) -> Iterator[None]:
+    """Put ``path`` in front of the message of an InputError raised inside."""
+    try:
+        yield
+    except InputError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 class Graph:
@@ -152,17 +164,9 @@ class Graph:
             return comps
         remaining = subset_mask
         while remaining:
-            seed = remaining & -remaining
-            comp = seed
-            frontier = seed
+            comp = frontier = remaining & -remaining
             while frontier:
-                reach = 0
-                m = frontier
-                while m:
-                    low = m & -m
-                    reach |= adj[low.bit_length() - 1]
-                    m ^= low
-                frontier = reach & remaining & ~comp
+                frontier = self.neighborhood(frontier) & remaining & ~comp
                 comp |= frontier
             comps.append(comp)
             remaining &= ~comp
@@ -199,8 +203,8 @@ def parse_dimacs(text: str) -> Graph:
     Self-loops are dropped and duplicate edges (either orientation)
     collapse into one, as ``Graph.from_edges`` does; the declared edge count
     must not be negative but may disagree with the distinct count
-    (``graph.edge_count``).  Structural problems raise DimacsParseError
-    with a line number.
+    (``graph.edge_count``).  Structural problems raise InputError with
+    a line number.
     """
     n = -1
     edges: list[tuple[int, int]] = []
@@ -212,36 +216,36 @@ def parse_dimacs(text: str) -> Graph:
         kind = fields[0]
         if kind == "p":
             if n >= 0:
-                raise DimacsParseError("duplicate problem line", line_no)
+                raise InputError("duplicate problem line", line_no)
             if len(fields) != 4 or fields[1] not in ("edge", "edges"):
-                raise DimacsParseError(f"malformed problem line {line!r}", line_no)
+                raise InputError(f"malformed problem line {line!r}", line_no)
             try:
                 n, declared = int(fields[2]), int(fields[3])
             except ValueError:
-                raise DimacsParseError(f"non-integer problem line {line!r}", line_no) from None
+                raise InputError(f"non-integer problem line {line!r}", line_no) from None
             if n < 0 or declared < 0:
-                raise DimacsParseError(f"negative counts in problem line {line!r}", line_no)
+                raise InputError(f"negative counts in problem line {line!r}", line_no)
         elif kind == "e":
             if n < 0:
-                raise DimacsParseError("edge line before problem line", line_no)
+                raise InputError("edge line before problem line", line_no)
             if len(fields) != 3:
-                raise DimacsParseError(f"malformed edge line {line!r}", line_no)
+                raise InputError(f"malformed edge line {line!r}", line_no)
             try:
                 u, v = int(fields[1]), int(fields[2])
             except ValueError:
-                raise DimacsParseError(f"non-integer endpoints {line!r}", line_no) from None
+                raise InputError(f"non-integer endpoints {line!r}", line_no) from None
             if not (1 <= u <= n and 1 <= v <= n):
-                raise DimacsParseError(f"endpoint outside 1..{n} in {line!r}", line_no)
+                raise InputError(f"endpoint outside 1..{n} in {line!r}", line_no)
             edges.append((u - 1, v - 1))
         else:
-            raise DimacsParseError(f"unrecognized line {line!r}", line_no)
+            raise InputError(f"unrecognized line {line!r}", line_no)
     if n < 0:
-        raise DimacsParseError("missing problem line")
+        raise InputError("missing problem line")
     return Graph.from_edges(n, edges)
 
 
 def load_dimacs(path: str) -> Graph:
-    with open(path, "r", encoding="ascii", errors="replace") as fh:
+    with open(path, "r", encoding="ascii", errors="replace") as fh, naming_file(path):
         return parse_dimacs(fh.read())
 
 

@@ -18,7 +18,6 @@ from sumcol import (
 from sumcol.bench import (
     CSV_COLUMNS,
     InstanceRecord,
-    ManifestError,
     RunReport,
     RunRow,
     default_params,
@@ -26,6 +25,7 @@ from sumcol.bench import (
     load_manifest,
     render_report,
 )
+from sumcol.graph import InputError
 
 from conftest import MANIFEST_PATH, instance_path
 
@@ -93,15 +93,18 @@ def test_load_manifest_roundtrip(tmp_path):
 def test_load_manifest_rejects_malformed_rows(tmp_path, row, needle):
     path = tmp_path / "manifest.txt"
     path.write_text(row + "\n")
-    with pytest.raises(ManifestError, match=needle):
+    with pytest.raises(InputError, match=needle) as info:
         load_manifest(str(path))
+    assert info.value.line_no == 1
+    assert str(info.value).startswith(f"{path}: line 1: ")
 
 
 def test_load_manifest_rejects_duplicate_names(tmp_path):
     path = tmp_path / "manifest.txt"
     path.write_text("a a.col 1 0 1 exact 1\na b.col 1 0 1 exact 1\n")
-    with pytest.raises(ManifestError, match="duplicate"):
+    with pytest.raises(InputError, match="duplicate") as info:
         load_manifest(str(path))
+    assert info.value.line_no == 2
 
 
 @pytest.mark.parametrize("order", [30, 40, 60])
@@ -128,8 +131,9 @@ def test_load_instance_checks_declared_sizes(tmp_path):
     col.write_text("p edge 3 2\ne 1 2\ne 2 3\n")
     good = InstanceRecord("g", str(col), 3, 2)
     assert load_instance(good).n == 3
-    with pytest.raises(ManifestError, match="declares"):
+    with pytest.raises(InputError, match="declares") as info:
         load_instance(InstanceRecord("g", str(col), 3, 5))
+    assert info.value.line_no is None
 
 
 # ------------------------------------------------------------ statistics

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from sumcol import MemeticParams, load_coloring, load_dimacs
-from sumcol.cli import apply_param_overrides, build_parser, main
+from sumcol.cli import _PARAM_FIELDS, apply_param_overrides, build_parser, main
 
 from conftest import instance_path
 
@@ -137,10 +137,45 @@ def test_solve_degenerate_graphs(tmp_path, capsys, name, mode):
 
 
 def test_solve_reports_parse_errors(tmp_path, capsys):
+    """A refused input file is named in front of the refused line: a graph
+    given to solve or listed in a manifest, a warm start, a manifest."""
     bad = tmp_path / "bad.col"
     bad.write_text("p edge 2 1\ne 1 5\n")
-    assert main(["solve", str(bad)]) == 1
-    assert "error:" in capsys.readouterr().err
+    good = tmp_path / "good.col"
+    good.write_text("p edge 2 1\ne 1 2\n")
+    warm = tmp_path / "warm.txt"
+    warm.write_text("s 3 2\nv 1 1\nq\n")
+    lists_bad = tmp_path / "lists_bad.txt"
+    lists_bad.write_text(f"bad {bad} 2 1 -- -- --\n")
+    malformed = tmp_path / "malformed.txt"
+    malformed.write_text("# instances\nbad bad.col 2\n")
+    cases = [
+        (["solve", str(bad)], f"{bad}: line 2: endpoint outside 1..2 in 'e 1 5'"),
+        (["bench", str(lists_bad)], f"{bad}: line 2: endpoint outside 1..2 in 'e 1 5'"),
+        (["solve", str(good), "--warm-start", str(warm)], f"{warm}: line 3: unrecognized line 'q'"),
+        (["bench", str(malformed)], f"{malformed}: line 2: expected 7 fields, got 3"),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+
+def test_param_keys_are_read_from_the_dataclasses():
+    assert _PARAM_FIELDS == {
+        "population_size": ("", "population_size", int),
+        "max_generations": ("", "max_generations", int),
+        "replace_second_worst_probability": ("", "replace_second_worst_probability", float),
+        "exchange_idle_limit": ("tabu", "exchange_idle_limit", int),
+        "relocate_idle_limit": ("tabu", "relocate_idle_limit", int),
+        "stall_limit": ("tabu", "stall_limit", int),
+        "iteration_budget": ("tabu", "iteration_budget", int),
+        "init_iteration_budget": ("init", "iteration_budget", int),
+        "init_restarts": ("init", "restarts", int),
+        "init_tenure_base": ("init", "tenure_base", int),
+        "init_tenure_slope": ("init", "tenure_slope", float),
+    }
 
 
 def test_solve_rejects_target_outside_masc(capsys):

@@ -4,12 +4,12 @@ import pytest
 
 from sumcol import Coloring, Graph, is_proper
 from sumcol.coloring import (
-    ColoringFormatError,
     canonical_relabel,
     format_coloring,
     hamming_distance,
     parse_coloring,
 )
+from sumcol.graph import InputError
 
 import oracles
 
@@ -163,6 +163,16 @@ def test_solution_text_roundtrip():
     assert again.assignment == c.assignment
 
 
+# the line each refusal below names; None where the whole file is refused
+REFUSED_LINE = {
+    "before header": 1, "duplicate header": 2, "malformed header": 1, "non-integer header": 1,
+    "assigned twice": 3, "outside": 3, "unrecognized": 2, "malformed vertex line": 2,
+    "non-integer vertex line": 2,
+    "unassigned": None, "colors outside": None, "header sum": None, "not proper": None,
+    "header k=4 exceeds": None, "missing header": None,
+}
+
+
 @pytest.mark.parametrize(
     "text,needle",
     [
@@ -185,5 +195,10 @@ def test_solution_text_roundtrip():
 )
 def test_parse_coloring_rejects(text, needle):
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
-    with pytest.raises(ColoringFormatError, match=needle):
+    with pytest.raises(InputError, match=needle) as info:
         parse_coloring(text, g)
+    line_no = REFUSED_LINE[needle]
+    assert info.value.line_no == line_no
+    if line_no is not None:
+        assert str(info.value).startswith(f"line {line_no}: ")
+

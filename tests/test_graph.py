@@ -4,7 +4,7 @@ import random
 import pytest
 
 from sumcol import Graph
-from sumcol.graph import DimacsParseError, bits, parse_dimacs, to_dimacs
+from sumcol.graph import InputError, bits, parse_dimacs, to_dimacs
 
 import oracles
 
@@ -58,14 +58,14 @@ def test_parse_accepts_edges_keyword_and_blank_lines():
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line_no):
-    with pytest.raises(DimacsParseError) as info:
+    with pytest.raises(InputError) as info:
         parse_dimacs(text)
     assert info.value.line_no == line_no
     assert f"line {line_no}" in str(info.value)
 
 
 def test_parse_requires_problem_line():
-    with pytest.raises(DimacsParseError, match="missing problem line"):
+    with pytest.raises(InputError, match="missing problem line"):
         parse_dimacs("c only a comment\n")
 
 
