@@ -51,9 +51,10 @@ _NEIGHBORHOODS = {
 
 # CSV column -> field of the report summary it shows.
 CSV_COLUMNS = {
-    "name": "name", "n": "n", "m": "m", "best_known": "best_known", "mode": "mode",
-    "sum_best": "sum_best", "k_best": "k_best", "sr": "success_rate", "avg": "average",
-    "sigma": "sigma", "time_min": "time_minutes", "runs": "runs", "seed": "base_seed",
+    "name": "name", "n": "n", "m": "m", "best_known": "best_known", "lb": "lower_bound",
+    "mode": "mode", "sum_best": "sum_best", "k_best": "k_best", "sr": "success_rate",
+    "avg": "average", "sigma": "sigma", "time_min": "time_minutes", "runs": "runs",
+    "seed": "base_seed",
 }
 
 _MASK64 = (1 << 64) - 1
@@ -169,6 +170,7 @@ class RunReport:
     mode: str
     base_seed: int
     rows: list[RunRow]
+    lower_bound: int  # the graph's clique-partition bound on the sum (Graph.sum_bound)
     best_assignment: list[int] | None = None
 
     @property
@@ -296,7 +298,7 @@ def run_instance(
     best_index = min(range(len(rows)), key=lambda i: (rows[i].sum, i))
     return RunReport(
         record=record, mode=mode, base_seed=base_seed, rows=rows,
-        best_assignment=results[best_index][1],
+        lower_bound=graph.sum_bound, best_assignment=results[best_index][1],
     )
 
 
@@ -350,6 +352,7 @@ def _summary(report: RunReport, include_times: bool) -> dict:
         "m": record.m,
         "best_known": record.best_known,
         "bound_exact": record.bound_exact,
+        "lower_bound": report.lower_bound,
         "mode": report.mode,
         "runs": report.runs,
         "base_seed": report.base_seed,

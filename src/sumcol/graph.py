@@ -5,8 +5,10 @@ Adjacency is kept as one bitmask per vertex (fast set algebra, O(1)
 membership) and one tuple of neighbours per vertex (fast iteration).  A
 graph also fills two private caches of derived data on first use, freed
 with it: byte tables that give the neighbourhood of a large vertex set one
-byte at a time (about 4n^2 bytes, see ``Graph.neighborhood``), and the size
-of a greedy clique (``Graph.clique_size``).  Graphs are immutable.
+byte at a time (about 4n^2 bytes, see ``Graph.neighborhood``), and two
+lower bounds: the size of a greedy clique (``Graph.clique_size``) and a
+clique-partition bound on the color sum (``Graph.sum_bound``).  Graphs are
+immutable.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ def naming_file(path: str) -> Iterator[None]:
 class Graph:
     """Immutable undirected simple graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "edge_count", "adj_masks", "adj_lists", "_byte_tables", "_clique_size")
+    __slots__ = ("n", "edge_count", "adj_masks", "adj_lists", "_byte_tables", "_clique_size",
+                 "_sum_bound")
 
     def __init__(self, n: int, adj_masks: list[int]):
         self.n = n
@@ -48,6 +51,7 @@ class Graph:
         self.edge_count = sum(len(a) for a in self.adj_lists) // 2
         self._byte_tables: list[list[int]] | None = None
         self._clique_size: int | None = None
+        self._sum_bound: int | None = None
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -80,6 +84,14 @@ class Graph:
         if self._clique_size is None:
             self._clique_size = greedy_clique(self)
         return self._clique_size
+
+    @property
+    def sum_bound(self) -> int:
+        """``clique_partition_bound(self)``, a lower bound on the color sum;
+        computed on first use."""
+        if self._sum_bound is None:
+            self._sum_bound = clique_partition_bound(self)
+        return self._sum_bound
 
     def neighborhood(self, mask: int) -> int:
         """Vertices with a neighbor among the ``mask`` vertices.
@@ -194,6 +206,31 @@ def greedy_clique(graph: Graph) -> int:
             size += 1
         best = max(best, size)
     return best
+
+
+def clique_partition_bound(graph: Graph) -> int:
+    """Lower bound on the color sum from a greedy partition into cliques.
+
+    The lowest remaining vertex grows a clique by adding the lowest-numbered
+    common neighbour among the remaining vertices, until none is left.  A
+    clique of s vertices needs s distinct colors, so it adds at least
+    1 + ... + s = s(s + 1) / 2 to any coloring's sum (Moukrim, Sghiouer,
+    Lucet & Li 2010).
+    """
+    adj = graph.adj_masks
+    rest = (1 << graph.n) - 1
+    bound = 0
+    while rest:
+        clique = low = rest & -rest
+        cand = adj[low.bit_length() - 1] & rest
+        while cand:
+            low = cand & -cand
+            clique |= low
+            cand &= adj[low.bit_length() - 1]
+        rest ^= clique
+        size = clique.bit_count()
+        bound += size * (size + 1) // 2
+    return bound
 
 
 def parse_dimacs(text: str) -> Graph:

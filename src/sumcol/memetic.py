@@ -163,7 +163,9 @@ def memetic_search(
     ``warm_start`` injects one externally supplied proper coloring into the
     initial population.  ``target`` stops the run as soon as the best sum
     reaches it; since the incumbent never worsens, a run that would reach
-    the target anyway returns the same result either way.  ``on_improve``
+    the target anyway returns the same result either way.  The run also
+    stops, without a target, once the best sum meets ``graph.sum_bound``,
+    which no coloring can beat.  ``on_improve``
     fires with each new best sum (including the initial one),
     ``on_generation(generation, members, best_sum)`` with the population
     list after each population update.  With fewer distinct partitions in
@@ -178,8 +180,9 @@ def memetic_search(
         on_improve(best.sum)
     if len(population) < 2:
         return best
+    stop = graph.sum_bound if target is None else max(target, graph.sum_bound)
     for generation in range(1, params.max_generations + 1):
-        if target is not None and best.sum <= target:
+        if best.sum <= stop:
             break
         smallest_k = min(m.k for m in population)
         count = min(choose_parent_count(graph.n, smallest_k), len(population))

@@ -294,6 +294,7 @@ class TabuSearchRun:
         self.on_improve = on_improve
         self.tabu = TabuState()
         self.best = coloring.copy()
+        self.budget = params.iteration_budget
         self.stall = 0
         self.full = (1 << graph.n) - 1
         self._components: dict[int, list[int]] = {}
@@ -312,7 +313,7 @@ class TabuSearchRun:
     def run_phase(self, kind: str, idle_limit: int) -> None:
         """Iterate one neighborhood until ``idle_limit`` consecutive
         iterations fail to improve the call-wide best, or the budget ends."""
-        budget = self.params.iteration_budget
+        budget = self.budget
         idle = 0
         while idle < idle_limit and self.tabu.iteration < budget:
             at = self.tabu.iteration + 1
@@ -336,6 +337,9 @@ class TabuSearchRun:
                 self.stall = 0
                 if self.on_improve is not None:
                     self.on_improve(self.best.sum, at)
+                if self.best.sum <= self.graph.sum_bound:
+                    # no coloring beats this one: the budget ends here
+                    budget = self.budget = at
             else:
                 idle += 1
                 self.stall += 1
@@ -534,8 +538,9 @@ def tabu_search(
     Runs phases over ``neighborhoods`` in order (restricting the tuple to
     one entry gives the single-neighborhood variants), perturbing whenever
     ``stall_limit`` consecutive iterations pass without improving the best,
-    until ``iteration_budget`` total iterations.  The result never has a
-    larger sum than the input.
+    until ``iteration_budget`` total iterations, or until the best sum meets
+    ``graph.sum_bound``: none can be lower, so the call returns what the
+    full budget would.  The result never has a larger sum than the input.
     """
     if not is_proper(coloring, graph):
         raise ValueError("tabu_search requires a proper coloring")
@@ -544,15 +549,15 @@ def tabu_search(
             raise ValueError(f"unknown neighborhood {kind!r}")
     if not neighborhoods:
         raise ValueError("need at least one neighborhood")
-    if not coloring.n:
-        # no vertex to move: the empty coloring is already the best
+    if coloring.sum <= graph.sum_bound:
+        # no coloring beats it (this covers the empty coloring)
         return canonical_relabel(coloring)
     run = TabuSearchRun(coloring, graph, params, rng, validate=validate, on_improve=on_improve)
     limits = {EXCHANGE: params.exchange_idle_limit, RELOCATE: params.relocate_idle_limit}
-    while run.tabu.iteration < params.iteration_budget:
+    while run.tabu.iteration < run.budget:
         for kind in neighborhoods:
             run.run_phase(kind, limits[kind])
-        if run.tabu.iteration >= params.iteration_budget:
+        if run.tabu.iteration >= run.budget:
             break
         if run.stall >= params.stall_limit:
             run._set_current(perturb(run.best, run.tabu, rng))

@@ -7,7 +7,10 @@ conflicting edges) at decreasing k until the budget stops certifying
 feasibility, then repeated runs at the smallest reached k to fill the pool.
 The graph's greedy clique (``Graph.clique_size``) is the lower bound: a k
 below it is refused without an attempt, so a descent that reaches it (the
-chromatic number equals the clique number) ends at once.
+chromatic number equals the clique number) ends at once.  The pool stops
+filling as soon as a member's sum meets the graph's clique-partition bound
+(``Graph.sum_bound``), since that member is already optimal: every
+7-coloring of queen7.7, say, has the optimal sum 196.
 
 An attempt also gives up after ``_IDLE_LIMIT`` (10,000) iterations without
 a new fewest-conflicts count: the ``nbmax`` stopping rule of the original
@@ -190,11 +193,14 @@ def generate_population(
     repeated attempts stop producing new partitions there, collection moves
     to k+1.  ``include`` injects one externally supplied coloring (warm
     start) as a member.  Fewer than ``size`` return when the retry budget
-    runs out first, as on a graph with fewer distinct partitions in reach.
+    runs out first, as on a graph with fewer distinct partitions in reach,
+    and as soon as a member meets ``graph.sum_bound``: no coloring has a
+    smaller sum, so that member is the best the population could hold.
     """
     if size < 1:
         raise ValueError(f"population size must be >= 1, got {size}")
     members: list[Coloring] = []
+    bound = graph.sum_bound
 
     def try_add(c: Coloring) -> bool:
         cc = canonical_relabel(c)
@@ -205,6 +211,8 @@ def generate_population(
 
     if include is not None:
         try_add(include)
+        if members[0].sum <= bound:
+            return members
     seed = initial_coloring(graph, params, rng)
     k_min = seed.k
     if len(members) < size:
@@ -213,7 +221,8 @@ def generate_population(
     dup_streak = 0
     attempts = 0
     max_attempts = max(20, 10 * size)
-    while len(members) < size and attempts < max_attempts:
+    # a member at the bound is the newest one: the build stops when it joins
+    while len(members) < size and attempts < max_attempts and members[-1].sum > bound:
         attempts += 1
         sol = tabucol(graph, level, params, rng) if 0 < level <= graph.n else None
         if sol is not None and try_add(sol):

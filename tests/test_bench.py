@@ -182,7 +182,7 @@ def synthetic_report():
     ]
     record = InstanceRecord(name="toy", path="toy.col", n=11, m=20,
                             best_known=21, bound_exact=True)
-    return RunReport(record=record, mode="masc", base_seed=9, rows=rows)
+    return RunReport(record=record, mode="masc", base_seed=9, rows=rows, lower_bound=15)
 
 
 def test_report_summary_math():
@@ -208,11 +208,11 @@ def test_report_without_reference_has_no_success_rate():
 def test_csv_report_layout():
     text = render_report([synthetic_report()], "csv")
     lines = text.splitlines()
-    assert lines[0] == "name,n,m,best_known,mode,sum_best,k_best,sr,avg,sigma,time_min,runs,seed"
+    assert lines[0] == "name,n,m,best_known,lb,mode,sum_best,k_best,sr,avg,sigma,time_min,runs,seed"
     assert lines[0] == ",".join(CSV_COLUMNS)
-    assert lines[1] == "toy,11,20,21,masc,21,4,0.50,22.50,1.66,,4,9"
+    assert lines[1] == "toy,11,20,21,15,masc,21,4,0.50,22.50,1.66,,4,9"
     with_times = render_report([synthetic_report()], "csv", include_times=True)
-    assert with_times.splitlines()[1] == "toy,11,20,21,masc,21,4,0.50,22.50,1.66,0.01,4,9"
+    assert with_times.splitlines()[1] == "toy,11,20,21,15,masc,21,4,0.50,22.50,1.66,0.01,4,9"
 
 
 def test_json_report_layout():
@@ -220,7 +220,7 @@ def test_json_report_layout():
     payload = json.loads(render_report([report], "json"))
     (entry,) = payload["reports"]
     assert list(entry) == [
-        "name", "n", "m", "best_known", "bound_exact", "mode", "runs", "base_seed",
+        "name", "n", "m", "best_known", "bound_exact", "lower_bound", "mode", "runs", "base_seed",
         "sum_best", "k_best", "success_rate", "average", "sigma", "time_minutes", "rows",
     ]
     assert list(entry["rows"][0]) == [
@@ -228,6 +228,7 @@ def test_json_report_layout():
     ]
     assert entry["name"] == "toy"
     assert entry["sum_best"] == 21 and entry["k_best"] == 4
+    assert entry["lower_bound"] == 15
     assert entry["success_rate"] == pytest.approx(0.5)
     assert entry["time_minutes"] is None
     assert [r["sum"] for r in entry["rows"]] == [23, 21, 21, 25]
@@ -303,6 +304,19 @@ def test_run_instance_starts_at_most_one_worker_per_run(myciel3, monkeypatch):
     assert sizes == [2]
     run_instance(record, runs=1, jobs=4, **kwargs)
     assert sizes == [2]
+
+
+def test_run_instance_stops_dnts_at_a_certified_optimum():
+    """Every 7-coloring of queen7_7 sums to its clique-partition bound 196:
+    at the default 500k budget, dnts returns the descent's coloring without
+    a tabu-search iteration."""
+    path = instance_path("queen7_7")
+    if not path.exists():
+        pytest.skip("instance file queen7_7.col not shipped")
+    record = InstanceRecord("queen7_7", str(path), 49, 476, 196, True, 7)
+    report = run_instance(record, mode="dnts", runs=2)
+    assert report.lower_bound == 196
+    assert [(row.sum, row.k, row.iterations) for row in report.rows] == [(196, 7, 0)] * 2
 
 
 def test_run_instance_warm_start_bounds_result(myciel3):

@@ -61,8 +61,8 @@ def test_solve_writes_csv_report(tmp_path, capsys):
                  "--out", str(out), *QUICK])
     assert code == 0
     lines = out.read_text().splitlines()
-    assert lines[0].startswith("name,n,m,best_known,")
-    assert lines[1].startswith("myciel3,11,20,21,masc,21,")
+    assert lines[0].startswith("name,n,m,best_known,lb,")
+    assert lines[1].startswith("myciel3,11,20,21,15,masc,21,")
     err = capsys.readouterr().err
     assert "best sum 21" in err
 
@@ -102,29 +102,27 @@ def test_solve_warm_start_accepts_saved_solution(tmp_path, capsys):
                  "--seed", "5", "--warm-start", str(best), *QUICK])
     assert code == 0
     out = capsys.readouterr().out
-    assert out.splitlines()[1].split(",")[5] == "21"  # warm start bounds the sum
+    assert out.splitlines()[1].split(",")[6] == "21"  # warm start bounds the sum
 
 
 DEGENERATE_GRAPHS = {
-    # name: (n, edges, minimum sum, masc iterations, tabu iterations); masc
-    # searches only when there are two distinct partitions to recombine,
-    # and no search runs without a vertex to move
-    "empty": (0, [], 0, 0, 0),
-    "k1": (1, [], 1, 0, 300),
-    "edgeless4": (4, [], 4, 600, 300),
-    "k6": (6, [(u, v) for u in range(1, 7) for v in range(u + 1, 7)], 21, 0, 300),
+    # name: (n, edges, minimum sum)
+    "empty": (0, [], 0),
+    "k1": (1, [], 1),
+    "edgeless4": (4, [], 4),
+    "k6": (6, [(u, v) for u in range(1, 7) for v in range(u + 1, 7)], 21),
 }
 
 
 @pytest.mark.parametrize("mode", ["dnts", "ts-n1", "ts-n2", "masc"])
 @pytest.mark.parametrize("name", sorted(DEGENERATE_GRAPHS))
 def test_solve_degenerate_graphs(tmp_path, capsys, name, mode):
-    """One class (k = 1), or no relocation at all: the tabu search still
-    runs its budget out and reports the minimum sum.  With fewer distinct
-    partitions than its population, masc evolves the ones found for its two
-    generations, or returns the only one.  The graph without vertices gets
-    the empty coloring in every mode."""
-    n, edges, expected, masc_iterations, tabu_iterations = DEGENERATE_GRAPHS[name]
+    """One class (k = 1), or no relocation at all: the descent's coloring
+    already meets the graph's clique-partition bound, so every mode reports
+    the minimum sum without a tabu-search iteration, and masc builds no
+    population beyond it.  The graph without vertices gets the empty
+    coloring in every mode."""
+    n, edges, expected = DEGENERATE_GRAPHS[name]
     path = tmp_path / f"{name}.col"
     path.write_text(f"p edge {n} {len(edges)}\n" + "".join(f"e {u} {v}\n" for u, v in edges))
     code = main(["solve", str(path), "--mode", mode, "--runs", "2", "--validate", "--format", "json",
@@ -132,8 +130,8 @@ def test_solve_degenerate_graphs(tmp_path, capsys, name, mode):
     assert code == 0
     report = json.loads(capsys.readouterr().out)["reports"][0]
     assert report["sum_best"] == expected
-    iterations = masc_iterations if mode == "masc" else tabu_iterations
-    assert [(row["sum"], row["iterations"]) for row in report["rows"]] == [(expected, iterations)] * 2
+    assert report["lower_bound"] == expected
+    assert [(row["sum"], row["iterations"]) for row in report["rows"]] == [(expected, 0)] * 2
 
 
 def test_solve_reports_parse_errors(tmp_path, capsys):

@@ -1,12 +1,15 @@
 import math
 import random
+from itertools import combinations
 
 import pytest
 
+import sumcol.graph as graph_module
 from sumcol import Graph
-from sumcol.graph import InputError, bits, parse_dimacs, to_dimacs
+from sumcol.graph import InputError, bits, clique_partition_bound, parse_dimacs, to_dimacs
 
 import oracles
+from conftest import require_instance
 
 SAMPLE = """\
 c a 5-cycle
@@ -192,3 +195,43 @@ def test_empty_graph():
     g = parse_dimacs("p edge 0 0\n")
     assert g.n == 0 and g.edge_count == 0
     assert components(g, []) == []
+
+
+@pytest.mark.parametrize(
+    "name, bound",
+    [("myciel3", 15), ("myciel4", 31), ("myciel5", 63), ("myciel6", 125), ("myciel7", 247),
+     ("queen5_5", 75), ("queen6_6", 126), ("queen7_7", 196), ("queen8_8", 288),
+     ("queen9_9", 405), ("queen8_12", 624)],
+)
+def test_clique_partition_bound_on_shipped_instances(name, bound):
+    assert clique_partition_bound(require_instance(name)) == bound
+
+
+def test_clique_partition_bound_never_exceeds_the_chromatic_sum():
+    rng = random.Random(19)
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        edges = oracles.random_gnp(n, rng.choice((0.2, 0.5, 0.8)), rng)
+        bound = clique_partition_bound(Graph.from_edges(n, edges))
+        assert bound <= oracles.brute_force_chromatic_sum(n, edges)
+
+
+def test_clique_partition_bound_is_the_optimum_on_cliques_and_edgeless_graphs():
+    for n in range(8):
+        clique = list(combinations(range(n), 2))
+        assert clique_partition_bound(Graph.from_edges(n, [])) == n
+        assert clique_partition_bound(Graph.from_edges(n, clique)) == n * (n + 1) // 2
+        assert clique_partition_bound(Graph.from_edges(n, clique)) == oracles.brute_force_chromatic_sum(n, clique)
+
+
+def test_sum_bound_is_computed_once_and_read_only(monkeypatch):
+    calls = []
+    original = graph_module.clique_partition_bound
+    monkeypatch.setattr(graph_module, "clique_partition_bound", lambda g: calls.append(g) or original(g))
+    g = parse_dimacs(SAMPLE)
+    assert g._sum_bound is None
+    # the 5-cycle splits into two edges and a vertex: 3 + 3 + 1, below its optimum 9
+    assert g.sum_bound == g.sum_bound == 7
+    assert calls == [g] and g._sum_bound == 7
+    with pytest.raises(AttributeError):
+        g.sum_bound = 9

@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+import sumcol.tabucol as tabucol_module
 from sumcol import (
     Coloring,
     MemeticParams,
@@ -15,8 +16,10 @@ from sumcol import (
 from sumcol.coloring import canonical_relabel
 from sumcol.memetic import diversity_score, update_population
 from sumcol.tabu_search import SearchStats
+from sumcol.tabucol import greedy_coloring, initial_coloring
 
 import oracles
+from conftest import require_instance
 
 
 def quick_params(**overrides):
@@ -159,6 +162,40 @@ def test_memetic_search_target_stops_early(myciel3):
     memetic_search(myciel3, quick_params(max_generations=50), random.Random(4),
                    target=21, on_generation=lambda g, p, b: calls.append(g))
     assert len(calls) < 50
+
+
+def test_memetic_search_returns_a_descent_that_meets_the_sum_bound(monkeypatch):
+    """Every 7-coloring of queen7_7 sums to its bound 196: masc returns the
+    descent's coloring with no fill attempt and no generation."""
+    calls = []
+    original = tabucol_module.tabucol
+    monkeypatch.setattr(tabucol_module, "tabucol", lambda *args: calls.append(args[1]) or original(*args))
+    g = require_instance("queen7_7")
+    seed = initial_coloring(g, TabucolParams(), random.Random(8))
+    descent = list(calls)
+    stats = SearchStats()
+    best = memetic_search(g, MemeticParams(), random.Random(8), stats=stats,
+                          on_generation=lambda *_: pytest.fail("no generation expected"))
+    assert calls == descent * 2
+    assert best.assignment == seed.assignment and best.sum == g.sum_bound == 196
+    assert stats.iterations == 0
+
+
+def test_memetic_search_stops_at_the_sum_bound_with_the_full_run_result():
+    """queen5_5 from a greedy warm start: the descent's coloring meets the
+    bound 75, so no generation runs, and the run returns what a run that
+    cannot stop there returns."""
+    g = require_instance("queen5_5")
+    unbounded = require_instance("queen5_5")
+    unbounded._sum_bound = 0  # still a lower bound, but no coloring meets it
+    warm = greedy_coloring(g)
+    assert warm.sum > g.sum_bound == 75
+    params = quick_params(max_generations=3)
+    stopped, full = SearchStats(), SearchStats()
+    best = memetic_search(g, params, random.Random(2), warm_start=warm, stats=stopped)
+    reference = memetic_search(unbounded, params, random.Random(2), warm_start=warm, stats=full)
+    assert best.assignment == reference.assignment and best.sum == 75
+    assert stopped.iterations == 0 < full.iterations
 
 
 def test_memetic_search_warm_start(myciel3):

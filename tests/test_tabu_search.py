@@ -15,7 +15,7 @@ from sumcol.tabu_search import (
     select_move,
     tabu_search,
 )
-from sumcol.tabucol import initial_coloring
+from sumcol.tabucol import greedy_coloring, initial_coloring
 
 import oracles
 from conftest import require_instance
@@ -351,6 +351,43 @@ def test_budget_is_respected_exactly(myciel3):
     stats = SearchStats()
     tabu_search(start, myciel3, small_params(iteration_budget=777), rng, stats=stats)
     assert stats.iterations == 777
+
+
+def test_search_ends_when_its_best_meets_the_sum_bound():
+    """The call ends at the iteration its best meets ``graph.sum_bound`` and
+    returns what the full budget returns: no later move can beat it."""
+    g = require_instance("queen5_5")
+    unbounded = require_instance("queen5_5")
+    unbounded._sum_bound = 0  # still a lower bound, but no coloring meets it
+    start = greedy_coloring(g)
+    params = small_params(iteration_budget=3000)
+    stopped, full = SearchStats(), SearchStats()
+    seen = []
+    best = tabu_search(start, g, params, random.Random(4), validate=True,
+                       on_improve=lambda s, it: seen.append((s, it)), stats=stopped)
+    reference = tabu_search(start, unbounded, params, random.Random(4), stats=full)
+    assert best.assignment == reference.assignment and best.sum == g.sum_bound == 75
+    assert seen[-1] == (75, stopped.iterations)
+    assert 0 < stopped.iterations < full.iterations == 3000
+
+
+def test_search_gathers_an_edgeless_graph_into_one_class():
+    """Relocations empty every class but one under validation, and the call
+    ends when the sum reaches n, the bound."""
+    g = Graph.from_edges(4, [])
+    stats = SearchStats()
+    best = tabu_search(Coloring.from_assignment([1, 2, 3, 4]), g, small_params(), random.Random(3),
+                       validate=True, stats=stats)
+    assert best.assignment == [1, 1, 1, 1]
+    assert 0 < stats.iterations < 1500
+
+
+def test_a_start_at_the_sum_bound_is_returned_without_an_iteration(queen5_5):
+    start = initial_coloring(queen5_5, TabucolParams(), random.Random(1))
+    stats = SearchStats()
+    best = tabu_search(start, queen5_5, small_params(), random.Random(0), stats=stats)
+    assert best.assignment == start.assignment and best.sum == queen5_5.sum_bound
+    assert stats.iterations == 0
 
 
 def test_same_seed_same_result(myciel3):

@@ -231,16 +231,33 @@ def test_greedy_clique_is_grown_once_per_graph(monkeypatch):
             return _fn(*args)
 
         monkeypatch.setattr(module, name, counted)
-    g = require_instance("queen5_5")
+    # queen6_6's sum bound 126 is below its optimum 138, so the build fills its pool
+    g = require_instance("queen6_6")
     assert g._clique_size is None
     members = generate_population(g, 10, TabucolParams(), random.Random(3))
     assert calls["tabucol"] > 10 and calls["greedy_clique"] == 1
-    assert g._clique_size == g.clique_size == 5
+    assert g._clique_size == g.clique_size == 6
     again = generate_population(g, 10, TabucolParams(), random.Random(3))
     assert calls["greedy_clique"] == 1
     assert [m.assignment for m in again] == [m.assignment for m in members]
     with pytest.raises(AttributeError):
         g.clique_size = 4
+
+
+def test_generate_population_stops_at_a_member_that_meets_the_sum_bound(monkeypatch):
+    """Every 7-coloring of queen7_7 sums to its bound 196: the descent's
+    coloring, or a warm start, is the whole population."""
+    calls = []
+    original = tabucol_module.tabucol
+    monkeypatch.setattr(tabucol_module, "tabucol", lambda *args: calls.append(args[1]) or original(*args))
+    g = require_instance("queen7_7")
+    seed = initial_coloring(g, TabucolParams(), random.Random(5))
+    descent = len(calls)
+    assert seed.sum == g.sum_bound == 196 and calls[-1] == 6
+    assert generate_population(g, 10, TabucolParams(), random.Random(5)) == [seed]
+    assert len(calls) == 2 * descent
+    assert generate_population(g, 10, TabucolParams(), random.Random(6), include=seed) == [seed]
+    assert len(calls) == 2 * descent
 
 
 def test_generate_population_returns_short_when_too_few_partitions_exist():
