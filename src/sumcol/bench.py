@@ -17,8 +17,7 @@ import os
 import random
 import statistics
 import time
-from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .coloring import Coloring
 from .graph import Graph, InputError, load_dimacs, naming_file
@@ -28,6 +27,7 @@ from .tabu_search import (
     EXCHANGE,
     RELOCATE,
     SearchStats,
+    TabuSearchParams,
     tabu_search,
 )
 from .tabucol import initial_coloring
@@ -60,8 +60,7 @@ CSV_COLUMNS = {
 _MASK64 = (1 << 64) - 1
 
 
-@dataclass(frozen=True)
-class InstanceRecord:
+class InstanceRecord(NamedTuple):
     """One manifest row: where an instance lives and what is known about it."""
     name: str
     path: str
@@ -135,10 +134,9 @@ def load_instance(record: InstanceRecord) -> Graph:
 def default_params(mode: str) -> MemeticParams:
     """Stock parameters for a mode; single-solution modes widen the tabu
     budget to SINGLE_MODE_BUDGET."""
-    params = MemeticParams()
-    if mode != MASC:
-        params = replace(params, tabu=replace(params.tabu, iteration_budget=SINGLE_MODE_BUDGET))
-    return params
+    if mode == MASC:
+        return MemeticParams()
+    return MemeticParams(tabu=TabuSearchParams(iteration_budget=SINGLE_MODE_BUDGET))
 
 
 def run_seed(base_seed: int, index: int) -> int:
@@ -154,8 +152,7 @@ def run_seed(base_seed: int, index: int) -> int:
     return x
 
 
-@dataclass(frozen=True)
-class RunRow:
+class RunRow(NamedTuple):
     seed: int
     sum: int
     k: int
@@ -164,8 +161,7 @@ class RunRow:
     best_seconds: float
 
 
-@dataclass
-class RunReport:
+class RunReport(NamedTuple):
     record: InstanceRecord
     mode: str
     base_seed: int
@@ -302,8 +298,7 @@ def run_instance(
     )
 
 
-@dataclass(frozen=True)
-class WelchTestResult:
+class WelchTestResult(NamedTuple):
     statistic: float
     df: float
     p_value: float

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import MISSING, fields, replace
 
 from .bench import (
     MASC,
@@ -29,15 +28,22 @@ from .tabu_search import TabuSearchParams
 from .tabucol import TabucolParams
 
 # --param keys and where each lands inside MemeticParams: (section, field,
-# cast).  Every field with a plain default is a key, cast by its default's
-# type; TABUCOL's keys carry the prefix "init_".
+# cast).  Every number-valued attribute of a default-constructed parameter
+# class is a key, cast by its default's type; TABUCOL's keys carry the
+# prefix "init_".
 _PARAM_FIELDS = {
-    prefix + f.name: (section, f.name, type(f.default))
+    prefix + name: (section, name, type(default))
     for section, prefix, params in (("", "", MemeticParams), ("tabu", "", TabuSearchParams),
                                     ("init", "init_", TabucolParams))
-    for f in fields(params)
-    if f.default is not MISSING
+    for name, default in vars(params()).items()
+    if isinstance(default, (int, float))
 }
+
+
+def _with(params, field: str, value):
+    """A copy of a parameter set with one field changed, built (and so
+    checked) by its class's constructor."""
+    return type(params)(**{**vars(params), field: value})
 
 
 def apply_param_overrides(params: MemeticParams, pairs: list[str]) -> MemeticParams:
@@ -55,9 +61,9 @@ def apply_param_overrides(params: MemeticParams, pairs: list[str]) -> MemeticPar
         except ValueError:
             raise ValueError(f"bad value {raw!r} for parameter {key!r}") from None
         if section:
-            params = replace(params, **{section: replace(getattr(params, section), **{field: value})})
-        else:
-            params = replace(params, **{field: value})
+            value = _with(getattr(params, section), field, value)
+            field = section
+        params = _with(params, field, value)
     return params
 
 

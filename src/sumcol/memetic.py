@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .coloring import Coloring, canonical_relabel, hamming_distance, is_proper
@@ -22,21 +21,21 @@ from .tabu_search import SearchStats, TabuSearchParams, tabu_search, uniform_min
 from .tabucol import TabucolParams, generate_population
 
 
-@dataclass
 class MemeticParams:
-    population_size: int = 10
-    max_generations: int = 50
-    replace_second_worst_probability: float = 0.2
-    tabu: TabuSearchParams = field(default_factory=TabuSearchParams)
-    init: TabucolParams = field(default_factory=TabucolParams)
-
-    def __post_init__(self):
-        if self.population_size < 2:
+    def __init__(self, population_size: int = 10, max_generations: int = 50,
+                 replace_second_worst_probability: float = 0.2,
+                 tabu: TabuSearchParams | None = None, init: TabucolParams | None = None):
+        if population_size < 2:
             raise ValueError("population_size must be >= 2")
-        if self.max_generations < 1:
+        if max_generations < 1:
             raise ValueError("max_generations must be >= 1")
-        if not 0.0 <= self.replace_second_worst_probability <= 1.0:
+        if not 0.0 <= replace_second_worst_probability <= 1.0:
             raise ValueError("replace_second_worst_probability must be in [0, 1]")
+        self.population_size = population_size
+        self.max_generations = max_generations
+        self.replace_second_worst_probability = replace_second_worst_probability
+        self.tabu = TabuSearchParams() if tabu is None else tabu
+        self.init = TabucolParams() if init is None else init
 
 
 def choose_parent_count(n: int, k: int) -> int:

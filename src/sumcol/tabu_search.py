@@ -26,7 +26,6 @@ the canonical relabeling happens only on the returned coloring.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 from .coloring import Coloring, canonical_relabel, is_proper
@@ -43,16 +42,15 @@ RELOCATE = "relocate"
 BOTH_NEIGHBORHOODS = (EXCHANGE, RELOCATE)
 
 
-@dataclass
 class TabuSearchParams:
-    exchange_idle_limit: int = 500
-    relocate_idle_limit: int = 1000
-    stall_limit: int = 4000
-    iteration_budget: int = 10_000
-
-    def __post_init__(self):
-        for name in ("exchange_idle_limit", "relocate_idle_limit", "stall_limit", "iteration_budget"):
-            if getattr(self, name) < 1:
+    def __init__(self, exchange_idle_limit: int = 500, relocate_idle_limit: int = 1000,
+                 stall_limit: int = 4000, iteration_budget: int = 10_000):
+        self.exchange_idle_limit = exchange_idle_limit
+        self.relocate_idle_limit = relocate_idle_limit
+        self.stall_limit = stall_limit
+        self.iteration_budget = iteration_budget
+        for name, value in vars(self).items():
+            if value < 1:
                 raise ValueError(f"{name} must be >= 1")
 
 
@@ -79,7 +77,6 @@ class RelocateMove(NamedTuple):
 Move = ExchangeMove | RelocateMove
 
 
-@dataclass
 class TabuState:
     """Tabu bookkeeping for one search call.
 
@@ -89,10 +86,13 @@ class TabuState:
     class) to its expiry.  Both selections start with ``drop_expired``.
     """
 
-    iteration: int = 0
-    pair_until: dict[tuple[int, int], int] = field(default_factory=dict)
-    vertex_until: dict[tuple[int, int], int] = field(default_factory=dict)
-    class_until: dict[int, int] = field(default_factory=dict)
+    def __init__(self, iteration: int = 0, pair_until: dict[tuple[int, int], int] | None = None,
+                 vertex_until: dict[tuple[int, int], int] | None = None,
+                 class_until: dict[int, int] | None = None):
+        self.iteration = iteration
+        self.pair_until = {} if pair_until is None else pair_until
+        self.vertex_until = {} if vertex_until is None else vertex_until
+        self.class_until = {} if class_until is None else class_until
 
     def exchange_tabu(self, color_a: int, color_b: int, at: int) -> bool:
         if self.class_until:
@@ -116,11 +116,11 @@ class TabuState:
             self.class_until = {c: until for c, until in self.class_until.items() if until >= at}
 
 
-@dataclass
 class SearchStats:
     """Optional accumulator: total iterations over the calls it is passed to."""
 
-    iterations: int = 0
+    def __init__(self, iterations: int = 0):
+        self.iterations = iterations
 
 
 def _pair_exchanges(coloring: Coloring, graph: Graph, color_a: int, color_b: int) -> list[ExchangeMove]:
@@ -320,7 +320,8 @@ class TabuSearchRun:
             if self.validate:
                 # the selections rebind the lock dicts they prune, so a
                 # shallow copy keeps the state they start from
-                tabu = replace(self.tabu)
+                tabu = TabuState(self.tabu.iteration, self.tabu.pair_until,
+                                 self.tabu.vertex_until, self.tabu.class_until)
                 rng_state = self.rng.getstate()
             if kind == EXCHANGE:
                 move = self._select_exchange(at)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 from .coloring import Coloring, canonical_relabel
 from .graph import Graph
@@ -32,7 +31,6 @@ from .graph import Graph
 _IDLE_LIMIT = 10_000
 
 
-@dataclass
 class TabucolParams:
     """Knobs for one feasibility attempt at fixed k.
 
@@ -45,16 +43,16 @@ class TabucolParams:
     attempts that keep improving.
     """
 
-    iteration_budget: int = 100_000
-    restarts: int = 3
-    tenure_base: int = 9
-    tenure_slope: float = 0.6
-
-    def __post_init__(self):
-        if self.iteration_budget < 1 or self.restarts < 1:
+    def __init__(self, iteration_budget: int = 100_000, restarts: int = 3,
+                 tenure_base: int = 9, tenure_slope: float = 0.6):
+        if iteration_budget < 1 or restarts < 1:
             raise ValueError("iteration_budget and restarts must be >= 1")
-        if self.tenure_base < 0 or not 0 <= self.tenure_slope < math.inf:
+        if tenure_base < 0 or not 0 <= tenure_slope < math.inf:
             raise ValueError("tenure parameters must be finite and >= 0")
+        self.iteration_budget = iteration_budget
+        self.restarts = restarts
+        self.tenure_base = tenure_base
+        self.tenure_slope = tenure_slope
 
 
 def greedy_coloring(graph: Graph) -> Coloring:

@@ -61,3 +61,11 @@ def test_import_leaves_the_process_pool_unloaded():
     # run_instance imports it only when it spreads runs over processes
     proc = _fresh_interpreter("-c", "import sys, sumcol; print('concurrent.futures' in sys.modules)")
     assert proc.stdout.strip() == "False"
+
+
+def test_import_leaves_dataclasses_and_inspect_unloaded():
+    # no package class is generated by dataclasses: importing it would pull in
+    # inspect, ast, dis and tokenize, and every sumcol process would pay for it
+    probe = "import sys, sumcol, sumcol.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = _fresh_interpreter("-c", probe)
+    assert proc.stdout.strip() == "[]"

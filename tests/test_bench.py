@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+import pickle
 
 import pytest
 
@@ -201,7 +201,7 @@ def test_report_summary_math():
 
 def test_report_without_reference_has_no_success_rate():
     report = synthetic_report()
-    report.record = replace(report.record, best_known=None)
+    report = report._replace(record=report.record._replace(best_known=None))
     assert report.success_rate is None
 
 
@@ -275,6 +275,28 @@ def test_run_instance_reports_identical_with_and_without_jobs(myciel3):
     sequential = run_instance(record, **kwargs)
     parallel = run_instance(record, jobs=2, **kwargs)
     assert render_report([sequential], "json") == render_report([parallel], "json")
+
+
+def test_what_workers_exchange_survives_pickling():
+    """--jobs N pickles the parameters and record to each worker and the
+    rows back, so every field must come through unchanged."""
+    params = MemeticParams(
+        population_size=4, max_generations=7, replace_second_worst_probability=0.5,
+        tabu=TabuSearchParams(exchange_idle_limit=40, relocate_idle_limit=80,
+                              stall_limit=45, iteration_budget=123),
+        init=TabucolParams(iteration_budget=20_000, restarts=2, tenure_base=5, tenure_slope=0.3),
+    )
+    copy = pickle.loads(pickle.dumps(params))
+    assert type(copy) is MemeticParams
+    assert (copy.population_size, copy.max_generations, copy.replace_second_worst_probability) == (4, 7, 0.5)
+    assert type(copy.tabu) is TabuSearchParams and vars(copy.tabu) == vars(params.tabu)
+    assert type(copy.init) is TabucolParams and vars(copy.init) == vars(params.init)
+    record = myciel3_record()
+    assert pickle.loads(pickle.dumps(record)) == record
+    report = synthetic_report()
+    copy = pickle.loads(pickle.dumps(report))
+    assert type(copy) is RunReport and copy == report
+    assert type(copy.record) is InstanceRecord and all(type(row) is RunRow for row in copy.rows)
 
 
 def test_run_instance_starts_at_most_one_worker_per_run(myciel3, monkeypatch):

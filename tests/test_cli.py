@@ -49,6 +49,16 @@ def test_apply_param_overrides_rejects_bad_input():
         apply_param_overrides(MemeticParams(), ["population_size=lots"])
 
 
+@pytest.mark.parametrize("pair, message", [
+    ("stall_limit=0", "stall_limit must be >= 1"),
+    ("init_restarts=0", "iteration_budget and restarts must be >= 1"),
+    ("replace_second_worst_probability=1.5", r"replace_second_worst_probability must be in \[0, 1\]"),
+])
+def test_apply_param_overrides_checks_each_changed_set(pair, message):
+    with pytest.raises(ValueError, match=message):
+        apply_param_overrides(MemeticParams(), [pair])
+
+
 def test_parser_rejects_unknown_mode():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["solve", "x.col", "--mode", "simulated"])
@@ -160,7 +170,7 @@ def test_solve_reports_parse_errors(tmp_path, capsys):
         assert captured.out == ""
 
 
-def test_param_keys_are_read_from_the_dataclasses():
+def test_param_keys_are_read_from_the_parameter_classes():
     assert _PARAM_FIELDS == {
         "population_size": ("", "population_size", int),
         "max_generations": ("", "max_generations", int),

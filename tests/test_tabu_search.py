@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -11,6 +10,7 @@ from sumcol.tabu_search import (
     RELOCATE,
     SearchStats,
     TabuSearchRun,
+    TabuState,
     enumerate_relocate_moves,
     select_move,
     tabu_search,
@@ -120,7 +120,7 @@ def test_relocation_selection_matches_select_move_on_random_graphs():
             tabu.class_until[c] = rng.choice((9, 10, 11, 14))
         run.best.sum = run.current.sum + rng.choice((-3, -1, 0, 0, 1, 2))
         state = run.rng.getstate()
-        before = replace(tabu, vertex_until=dict(tabu.vertex_until))
+        before = TabuState(tabu.iteration, tabu.pair_until, dict(tabu.vertex_until), tabu.class_until)
         move = run._select_relocate(at)
         reference_rng = random.Random()
         reference_rng.setstate(state)
@@ -259,7 +259,8 @@ def test_validation_catches_a_wrong_memoized_component_list(myciel4):
 def test_validation_catches_a_selection_the_reference_would_not_make(myciel3):
     start = initial_coloring(myciel3, TabucolParams(), random.Random(1))
     run = TabuSearchRun(start, myciel3, small_params(), random.Random(0), validate=True)
-    tabu = replace(run.tabu, vertex_until=dict(run.tabu.vertex_until))
+    tabu = TabuState(run.tabu.iteration, run.tabu.pair_until, dict(run.tabu.vertex_until),
+                     run.tabu.class_until)
     state = run.rng.getstate()
     move = run._select_relocate(1)
     run._check_selection(RELOCATE, move, tabu, state)
