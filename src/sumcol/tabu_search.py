@@ -257,12 +257,13 @@ class TabuSearchRun:
     draws one vertex of the lowest non-empty level.
 
     Exchange moves are cached per class pair in flat rows,
-    ``pair_cache[a][b] = (mask_a, mask_b, low, [(delta, mask), ...])``
-    with ``low`` the pair's minimum delta.  A row depends only on the two
-    class masks it was built from, so it is valid exactly while both equal
-    the live masks: nothing is ever invalidated, an iteration recomputes
-    components only for pairs whose classes differ from the row's, and it
-    skips a whole pair whose ``low`` cannot be selected.  A recomputation
+    ``pair_cache[a][b] = (mask_a, mask_b, low, [(mask, a, b), ...])``: the
+    pair's minimum delta and its moves of that delta, in component order.
+    No costlier move can be selected: if any move of a pair is admissible,
+    so is its cheapest.  A row depends only on the two class masks it was
+    built from, so it is valid exactly while both equal the live masks:
+    nothing is ever invalidated, and an iteration recomputes components
+    only for pairs whose classes differ from the row's.  A recomputation
     searches only the linked part of the pair's union (the vertices with a
     neighbor in the other class): both classes are independent sets, so
     every other vertex is a singleton component, which is never a move, and
@@ -274,8 +275,8 @@ class TabuSearchRun:
     subgraph depend on its vertex set alone, so a remembered list is
     exact, and the memo survives a perturbation.  It holds at most
     ``_COMPONENT_MEMO_SIZE`` (1024) sets and is emptied when full.
-    Under ``validate`` every live row is rebuilt from a plain component
-    search of the pair's union, so a wrong remembered list is caught.
+    Under ``validate`` every live row and the remembered list it was built
+    from are checked against a plain component search of the pair's union.
     """
 
     def __init__(
@@ -450,32 +451,28 @@ class TabuSearchRun:
                         if len(components) >= _COMPONENT_MEMO_SIZE:
                             components.clear()
                         comps = components[linked] = component_masks(linked, mask_a)
-                    moves = []
+                    ties = []
                     low = top
                     for comp in comps:
                         delta = (b - a) * (2 * (comp & mask_a).bit_count() - comp.bit_count())
-                        moves.append((delta, comp))
                         if delta < low:
                             low = delta
-                    row[b] = (mask_a, mask_b, low, moves)
+                            ties = [(comp, a, b)]
+                        elif delta == low:
+                            ties.append((comp, a, b))
+                    row[b] = (mask_a, mask_b, low, ties)
                 else:
-                    low, moves = entry[2], entry[3]
-                # no move of a skipped pair could be tied at the minimum
+                    low, ties = entry[2], entry[3]
+                # a row holds only the moves a selection can pick (see the class docstring)
                 if low > best_delta:
                     continue
-                pair_tabu = a_locked or b in class_until or pair_until.get((a, b), 0) >= at
-                if pair_tabu and low >= aspire_gap:
+                if low >= aspire_gap and (a_locked or b in class_until or pair_until.get((a, b), 0) >= at):
                     continue
-                for delta, comp in moves:
-                    if delta > best_delta:
-                        continue
-                    if pair_tabu and delta >= aspire_gap:
-                        continue
-                    if delta < best_delta:
-                        best_delta = delta
-                        tied = [(comp, a, b)]
-                    else:
-                        tied.append((comp, a, b))
+                if low < best_delta:
+                    best_delta = low
+                    tied = ties[:]
+                else:
+                    tied += ties
         if not tied:
             return None
         chosen = tied[self.rng.randrange(len(tied))] if len(tied) > 1 else tied[0]
@@ -514,13 +511,16 @@ class TabuSearchRun:
             expected = sum(1 << v for v, adj in enumerate(self.graph.adj_masks) if not adj & m)
             if expected != self.isolated[idx]:
                 raise AssertionError(f"isolated-vertex mask out of sync for class {idx + 1}")
-        # rows built from the live masks, the only ones read, hold the reference moves in order
+        # live rows (the only ones read) and the memo lists they came from match the reference
+        isolated = self.isolated
         for a, row in enumerate(self.pair_cache[1:], 1):
-            for b, (mask_a, mask_b, low, moves) in enumerate(row[1:], 1):
+            for b, (mask_a, mask_b, low, ties) in enumerate(row[1:], 1):
                 if mask_a == masks[a - 1] and mask_b == masks[b - 1]:
-                    expected = [(m.delta, m.mask) for m in _pair_exchanges(current, self.graph, a, b)]
-                    expected_low = min((d for d, _ in expected), default=current.k * self.graph.n)
-                    if moves != expected or low != expected_low:
+                    expected = _pair_exchanges(current, self.graph, a, b)
+                    comps = self._components.get((mask_a & ~isolated[b - 1]) | (mask_b & ~isolated[a - 1]))
+                    if (low != min((m.delta for m in expected), default=current.k * self.graph.n)
+                            or ties != [(m.mask, a, b) for m in expected if m.delta == low]
+                            or comps is not None and comps != [m.mask for m in expected]):
                         raise AssertionError(f"pair cache out of sync for classes {a}, {b}")
 
 

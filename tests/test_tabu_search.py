@@ -11,6 +11,8 @@ from sumcol.tabu_search import (
     SearchStats,
     TabuSearchRun,
     TabuState,
+    _pair_exchanges,
+    enumerate_exchange_moves,
     enumerate_relocate_moves,
     select_move,
     tabu_search,
@@ -235,6 +237,123 @@ def test_component_memo_stays_within_its_size(monkeypatch):
     # more searches than the memo holds, so it has filled at least once
     assert len(searched) > _COMPONENT_MEMO_SIZE
     assert 0 < max(sizes) <= _COMPONENT_MEMO_SIZE
+
+
+def _live_rows(run):
+    """(a, b, row) of every pair-cache row built from the live class masks."""
+    masks = run.current.class_masks
+    for a, row in enumerate(run.pair_cache[1:], 1):
+        for b, entry in enumerate(row[1:], 1):
+            if entry[0] == masks[a - 1] and entry[1] == masks[b - 1]:
+                yield a, b, entry
+
+
+def test_exchange_rows_hold_only_their_pairs_cheapest_moves():
+    """After a selection every pair of non-empty classes has a live row, and
+    it holds the pair's minimum delta and exactly the moves of that delta,
+    in component order."""
+    rng = random.Random(37)
+    trimmed = 0
+    for case in range(40):
+        n = rng.randint(4, 14)
+        edges = oracles.random_gnp(n, rng.choice((0.2, 0.4, 0.6)), rng)
+        graph = Graph.from_edges(n, edges)
+        start = Coloring.from_assignment(oracles.random_proper_assignment(n, edges, rng))
+        run = TabuSearchRun(start, graph, small_params(), random.Random(case))
+        for at in range(1, 6):
+            move = run._select_exchange(at)
+            masks = run.current.class_masks
+            nonempty = [c for c in range(1, run.current.k + 1) if masks[c - 1]]
+            pairs = []
+            for a, b, (_, _, low, ties) in _live_rows(run):
+                moves = _pair_exchanges(run.current, graph, a, b)
+                assert low == min((m.delta for m in moves), default=run.current.k * n)
+                assert ties == [(m.mask, a, b) for m in moves if m.delta == low]
+                trimmed += len(ties) < len(moves)
+                pairs.append((a, b))
+            assert pairs == [(a, b) for i, a in enumerate(nonempty) for b in nonempty[i + 1:]]
+            if move is None:
+                break
+            run._apply(move)
+            run.tabu.iteration = at
+    assert trimmed > 20
+
+
+class _FixedDraw:
+    """Stands in for the search's random.Random: every draw returns ``index``."""
+
+    def __init__(self, index):
+        self.index = index
+        self.ties = 1
+
+    def randrange(self, n):
+        self.ties = n
+        return self.index
+
+
+def _exchange_ties(run, at):
+    """The tie list ``_select_exchange`` draws from, in order, read back one
+    draw index at a time."""
+    run.rng = _FixedDraw(0)
+    first = run._select_exchange(at)
+    if first is None:
+        return []
+    ties = [first]
+    for index in range(1, run.rng.ties):
+        run.rng = _FixedDraw(index)
+        ties.append(run._select_exchange(at))
+    return ties
+
+
+def test_a_locked_pair_offers_only_its_aspiring_cheapest_moves():
+    """A locked pair whose cheapest move aspirates while a costlier move of
+    the same pair does not: the selection is ``select_move``'s over the full
+    enumeration, its tie list is the reference's, and the costlier move is
+    never in it."""
+    rng = random.Random(47)
+    offered = 0
+    for case in range(300):
+        n = rng.randint(5, 14)
+        edges = oracles.random_gnp(n, rng.choice((0.2, 0.35, 0.5)), rng)
+        graph = Graph.from_edges(n, edges)
+        start = Coloring.from_assignment(oracles.random_proper_assignment(n, edges, rng))
+        moves = enumerate_exchange_moves(start, graph)
+        deltas = {}
+        for m in moves:
+            deltas.setdefault((m.color_a, m.color_b), set()).add(m.delta)
+        pairs = sorted(pair for pair, seen in deltas.items() if len(seen) > 1)
+        if not pairs:
+            continue
+        a, b = rng.choice(pairs)
+        cheapest, costlier = sorted(deltas[(a, b)])[:2]
+        run = TabuSearchRun(start, graph, small_params(), random.Random(case))
+        tabu = run.tabu
+        tabu.iteration = 10
+        at = 11
+        if rng.random() < 0.5:
+            tabu.pair_until[(a, b)] = rng.choice((11, 14))
+        else:
+            tabu.class_until[rng.choice((a, b))] = rng.choice((11, 14))
+        for pair in deltas:
+            if pair != (a, b) and rng.random() < 0.5:
+                tabu.pair_until[pair] = rng.choice((9, 11, 14))
+        # the pair's cheapest moves aspirate, its costlier ones do not
+        gap = rng.randint(cheapest + 1, costlier)
+        run.best.sum = run.current.sum + gap
+        before = TabuState(tabu.iteration, tabu.pair_until, tabu.vertex_until, tabu.class_until)
+        state = run.rng.getstate()
+        move = run._select_exchange(at)
+        reference_rng = random.Random()
+        reference_rng.setstate(state)
+        assert move == select_move(moves, before, run.best.sum, run.current.sum, reference_rng)
+        assert run.rng.getstate() == reference_rng.getstate()
+        admissible = [m for m in moves if m.delta < gap or not before.exchange_tabu(m.color_a, m.color_b, at)]
+        low = min(m.delta for m in admissible)
+        ties = _exchange_ties(run, at)
+        assert ties == [m for m in admissible if m.delta == low]
+        assert all(m.delta == cheapest for m in ties if (m.color_a, m.color_b) == (a, b))
+        offered += any((m.color_a, m.color_b) == (a, b) for m in ties)
+    assert offered > 30
 
 
 def test_validation_catches_a_wrong_memoized_component_list(myciel4):
