@@ -199,7 +199,11 @@ class RunReport(NamedTuple):
 
     @property
     def time_minutes(self) -> float:
-        """Mean minutes until the runs that found sum_best first reached it."""
+        """Mean minutes until the runs that found sum_best first reached it.
+
+        In mode "masc" a run's time is taken when the tabu-search call that
+        improved the best returns, so it can trail the iteration that
+        reached the sum by up to one call."""
         best = self.sum_best
         times = [row.best_seconds for row in self.rows if row.sum == best]
         return statistics.fmean(times) / 60.0

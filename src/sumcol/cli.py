@@ -107,16 +107,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_output_path(option: str, path: str | None) -> None:
-    """Refuse an output path before any run: a directory, or a file whose
-    parent directory does not exist."""
-    if path is None:
-        return
-    if os.path.isdir(path):
-        raise ValueError(f"{option} {path!r} is a directory")
-    parent = os.path.dirname(path)
-    if parent and not os.path.isdir(parent):
-        raise ValueError(f"{option} {path!r}: no directory {parent!r}")
+def _check_outputs(outputs: dict[str, str | None], inputs: list[str | None]) -> None:
+    """Refuse the output paths before any run: a directory, a file whose
+    parent directory does not exist, an input file of the command, or the
+    path of another output."""
+    taken = {os.path.realpath(path): f"input {path!r}" for path in inputs if path}
+    for option, path in outputs.items():
+        if path is None:
+            continue
+        if os.path.isdir(path):
+            raise ValueError(f"{option} {path!r} is a directory")
+        parent = os.path.dirname(path)
+        if parent and not os.path.isdir(parent):
+            raise ValueError(f"{option} {path!r}: no directory {parent!r}")
+        real = os.path.realpath(path)
+        if real in taken:
+            raise ValueError(f"{option} {path!r} would overwrite {taken[real]}")
+        taken[real] = option
 
 
 def _emit(reports, args) -> None:
@@ -129,8 +136,8 @@ def _emit(reports, args) -> None:
 
 
 def _cmd_solve(args) -> int:
-    _check_output_path("--out", args.out)
-    _check_output_path("--save-best", args.save_best)
+    _check_outputs({"--out": args.out, "--save-best": args.save_best},
+                   [args.file, args.warm_start])
     graph = load_dimacs(args.file)
     name = os.path.splitext(os.path.basename(args.file))[0]
     record = InstanceRecord(
@@ -158,8 +165,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    _check_output_path("--out", args.out)
     records = load_manifest(args.manifest)
+    _check_outputs({"--out": args.out}, [args.manifest] + [r.path for r in records])
     missing = [r for r in records if not os.path.exists(r.path)]
     if missing:
         names = ", ".join(r.name for r in missing)

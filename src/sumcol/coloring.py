@@ -163,10 +163,10 @@ def format_coloring(coloring: Coloring) -> str:
 def parse_coloring(text: str, graph: Graph) -> Coloring:
     """Parse the one-solution text format and validate it against ``graph``.
 
-    Rejects missing or repeated vertices, a header k above the vertex
-    count, colors outside 1..k, a header sum that disagrees with the body,
-    and improper colorings, with an InputError that carries the number of
-    a refused line.
+    Rejects missing or repeated vertices, a header k that is negative or
+    above the vertex count, colors outside 1..k, a header sum that
+    disagrees with the body, and improper colorings, with an InputError
+    that carries the number of a refused line.
     """
     header: tuple[int, int] | None = None
     seen: dict[int, int] = {}
@@ -184,6 +184,8 @@ def parse_coloring(text: str, graph: Graph) -> Coloring:
                 header = (int(fields[1]), int(fields[2]))
             except ValueError:
                 raise InputError(f"non-integer header {line!r}", line_no) from None
+            if header[1] < 0:
+                raise InputError(f"negative header k={header[1]}", line_no)
         elif fields[0] == "v":
             if header is None:
                 raise InputError("vertex line before header", line_no)

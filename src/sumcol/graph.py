@@ -4,9 +4,10 @@ Vertices are 0-based ints internally; all file formats use 1-based ids.
 Adjacency is kept as one bitmask per vertex (fast set algebra, O(1)
 membership) and one tuple of neighbours per vertex (fast iteration).  A
 graph also fills two private caches of derived data on first use, freed
-with it: byte tables that give the neighbourhood of a large vertex set one
-byte at a time (about 4n^2 bytes, see ``Graph.neighborhood``), and two
-lower bounds: the size of a greedy clique (``Graph.clique_size``) and a
+with it: byte tables that give the neighbourhood of a vertex set one byte
+at a time (about 4n^2 bytes, built by the first ``Graph.neighborhood``
+call, so only for a graph that a tabu search runs on), and two lower
+bounds: the size of a greedy clique (``Graph.clique_size``) and a
 clique-partition bound on the color sum (``Graph.sum_bound``).  Graphs are
 immutable.
 """
@@ -94,30 +95,22 @@ class Graph:
         return self._sum_bound
 
     def neighborhood(self, mask: int) -> int:
-        """Vertices with a neighbor among the ``mask`` vertices.
+        """Vertices with a neighbor among the ``mask`` vertices: one
+        byte-table OR per nonzero byte of ``mask``.
 
-        A set of p vertices costs p adjacency ORs walked one by one, or one
-        byte-table OR per nonzero byte of ``mask``, with a fixed cost per
-        byte.  On CPython 3.11 with random sets the tables win above about
-        sqrt(n) / 2 vertices (4 at n = 64, 7 at n = 191, 18 at n = 900).
-        They are used only above sqrt(n) vertices, which keeps their
-        memory off graphs whose classes stay small: a rook graph's classes
-        have exactly sqrt(n) vertices and never build them.
+        The tables are built on the first call, about 4n^2 bytes: measured
+        0.09 MB at n = 64, 0.37 MB at 191 and 5.4 MB at 1000 (G(n, 0.5),
+        CPython 3.11).  With random sets they beat ORing the members'
+        adjacency masks one by one above about sqrt(n) / 2 vertices (4 at
+        n = 64, 7 at n = 191, 18 at n = 900).  Below that the walk is a
+        little faster per call, but a tabu search that switches to it for
+        small classes runs no faster.
         """
-        count = mask.bit_count()
-        if count * count > self.n:
-            tables = self._byte_tables or self._build_byte_tables()
-            reach = 0
-            for table, byte in zip(tables, mask.to_bytes(len(tables), "little")):
-                if byte:
-                    reach |= table[byte]
-            return reach
-        adj = self.adj_masks
+        tables = self._byte_tables or self._build_byte_tables()
         reach = 0
-        while mask:
-            low = mask & -mask
-            reach |= adj[low.bit_length() - 1]
-            mask ^= low
+        for table, byte in zip(tables, mask.to_bytes(len(tables), "little")):
+            if byte:
+                reach |= table[byte]
         return reach
 
     def _build_byte_tables(self) -> list[list[int]]:
@@ -138,6 +131,12 @@ class Graph:
         """Connected components of the subgraph induced by the vertices set
         in ``subset_mask``, each returned as a bitmask.  Singletons included.
         Ordered by smallest member vertex.
+
+        Without ``side`` this is the reference search: it grows each
+        component breadth first, ORing the ``adj_masks`` of its newest
+        vertices one vertex at a time.  It reads nothing else, and shares no
+        code with ``neighborhood``, its byte tables or the side search, so
+        ``--validate`` checks the engine against an independent route.
 
         A nonzero ``side`` promises that ``subset_mask & side`` and
         ``subset_mask & ~side`` are both independent sets, as the union of
@@ -178,7 +177,12 @@ class Graph:
         while remaining:
             comp = frontier = remaining & -remaining
             while frontier:
-                frontier = self.neighborhood(frontier) & remaining & ~comp
+                reach = 0
+                while frontier:
+                    low = frontier & -frontier
+                    reach |= adj[low.bit_length() - 1]
+                    frontier ^= low
+                frontier = reach & remaining & ~comp
                 comp |= frontier
             comps.append(comp)
             remaining &= ~comp

@@ -249,8 +249,9 @@ class TabuSearchRun:
     class: bit v of ``isolated[c-1]`` is set iff v has no neighbor in class
     c, so a class's members are always in its own mask.  A move recomputes
     the mask of a class that loses vertices from the class's members
-    (``Graph.neighborhood``, from byte tables for a large class); a
-    relocation's target class only drops the mover's neighbors.
+    (``Graph.neighborhood``: one byte-table OR per nonzero byte of the
+    class mask); a relocation's target class only drops the mover's
+    neighbors.
 
     Relocation selection is bit-parallel: it builds one level mask per sum
     delta from the class and isolated masks, masks out the live locks, and
@@ -276,7 +277,9 @@ class TabuSearchRun:
     exact, and the memo survives a perturbation.  It holds at most
     ``_COMPONENT_MEMO_SIZE`` (1024) sets and is emptied when full.
     Under ``validate`` every live row and the remembered list it was built
-    from are checked against a plain component search of the pair's union.
+    from are checked against a plain component search of the pair's union,
+    which reads only the adjacency masks: it shares no code with the
+    isolated masks, the smaller-side search or the memo.
     """
 
     def __init__(

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -233,6 +234,41 @@ def test_solve_missing_file_fails_cleanly(tmp_path, capsys, case):
     assert "Traceback" not in captured.err
     assert captured.out == ""
     assert not saved.exists()
+
+
+@pytest.mark.parametrize("command, option, target", [
+    ("solve", "--out", "instance"), ("solve", "--save-best", "instance"), ("solve", "--out", "warm"),
+    ("solve", "--save-best", "warm"), ("solve", "--save-best", "report"),
+    ("bench", "--out", "manifest"), ("bench", "--out", "instance"),
+])
+def test_outputs_never_overwrite_an_input_or_each_other(tmp_path, capsys, command, option, target):
+    """An output path that names an input of the command, or the other
+    output, is refused before the first run and leaves every file as it
+    was, however the path is spelled."""
+    graph = tmp_path / "g.col"
+    shutil.copyfile(myciel3_path(), graph)
+    warm = tmp_path / "warm.txt"
+    manifest = tmp_path / "m.txt"
+    manifest.write_text("g g.col 11 20 21 exact 4\n")
+    assert main(["solve", str(graph), "--runs", "1", "--target", "21",
+                 "--save-best", str(warm), *QUICK]) == 0
+    capsys.readouterr()
+    before = {path: path.read_bytes() for path in (graph, warm, manifest)}
+    (tmp_path / "x").mkdir()
+    spelled = {"instance": str(tmp_path / "." / "g.col"), "warm": str(tmp_path / "x" / ".." / "warm.txt"),
+               "manifest": str(manifest), "report": str(tmp_path / "r.csv")}
+    if command == "bench":
+        argv = ["bench", str(manifest), "--runs", "1", option, spelled[target], *QUICK]
+    else:
+        argv = ["solve", str(graph), "--runs", "1", "--warm-start", str(warm),
+                "--out", spelled["report"], option, spelled[target], *QUICK]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "would overwrite" in lines[0]
+    assert captured.out == ""
+    assert {path: path.read_bytes() for path in before} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.col", "m.txt", "warm.txt", "x"]
 
 
 def test_bench_runs_manifest(tmp_path, capsys):

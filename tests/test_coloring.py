@@ -7,6 +7,7 @@ from sumcol.coloring import (
     canonical_relabel,
     format_coloring,
     hamming_distance,
+    load_coloring,
     parse_coloring,
 )
 from sumcol.graph import InputError
@@ -202,3 +203,14 @@ def test_parse_coloring_rejects(text, needle):
     if line_no is not None:
         assert str(info.value).startswith(f"line {line_no}: ")
 
+
+@pytest.mark.parametrize("n, edges", [(0, []), (3, [(0, 1), (1, 2)])])
+def test_negative_header_k_is_refused_on_its_line(tmp_path, n, edges):
+    """On the empty graph too, where no vertex line is there to refuse."""
+    body = "".join(f"v {v} 1\n" for v in range(1, n + 1))
+    path = tmp_path / "start.txt"
+    path.write_text(f"c a warm start\ns {n} -1\n{body}")
+    with pytest.raises(InputError, match="negative header k=-1") as info:
+        load_coloring(str(path), Graph.from_edges(n, edges))
+    assert info.value.line_no == 2
+    assert str(info.value).startswith(f"{path}: line 2: ")

@@ -1,4 +1,3 @@
-import math
 import random
 from itertools import combinations
 
@@ -167,8 +166,8 @@ def test_side_search_merges_components_through_shared_neighbors():
 
 @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 64, 191])
 def test_neighborhood_matches_the_per_vertex_or(n):
-    """Small sets walk their vertices and never build the byte tables;
-    sets above sqrt(n) vertices read them (none exist at n <= 1)."""
+    """Sets of every size read the byte tables, which the first call
+    builds (none exist at n = 0)."""
     rng = random.Random(n)
     edges = oracles.random_gnp(n, 0.2, rng)
     g = Graph.from_edges(n, edges)
@@ -180,15 +179,25 @@ def test_neighborhood_matches_the_per_vertex_or(n):
             expected = sum(1 << u for u in set().union(*(adj[v] for v in members)))
             assert g.neighborhood(sum(1 << v for v in members)) == expected
 
-    switch = math.isqrt(n)
-    for size in range(switch + 1):
-        check(size)
     assert g._byte_tables is None
-    for size in {switch + 1, switch + 2, n // 2, n}:
-        if switch < size <= n:
-            check(size)
-    if n > 1:
-        assert len(g._byte_tables) == (n + 7) // 8
+    for size in range(n + 1):
+        check(size)
+        assert len(g._byte_tables or []) == (n + 7) // 8
+
+
+def test_reference_component_search_reads_only_the_adjacency_masks():
+    """The plain search never builds the byte tables the engine's
+    neighbourhoods read, so ``--validate`` compares two routes; on dense
+    subsets of a dense graph it agrees with union-find."""
+    rng = random.Random(64)
+    edges = oracles.random_gnp(64, 0.5, rng)
+    g = Graph.from_edges(64, edges)
+    for _ in range(20):
+        subset = [v for v in range(64) if rng.random() < 0.6]
+        ours = g.component_masks(sum(1 << v for v in subset))
+        reference = oracles.union_find_components(64, edges, subset)
+        assert {frozenset(bits(c)) for c in ours} == set(reference)
+    assert g._byte_tables is None
 
 
 def test_empty_graph():
