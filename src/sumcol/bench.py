@@ -20,7 +20,7 @@ import time
 from typing import NamedTuple, Sequence
 
 from .coloring import Coloring
-from .graph import Graph, InputError, load_dimacs, naming_file
+from .graph import Graph, InputError, data_lines, ints, load_dimacs, read_input
 from .memetic import MemeticParams, memetic_search
 from .tabu_search import (
     BOTH_NEIGHBORHOODS,
@@ -72,51 +72,41 @@ class InstanceRecord(NamedTuple):
 
 
 def load_manifest(path: str) -> list[InstanceRecord]:
-    """Parse a manifest file into records.
+    """Parse a manifest file, read as strict UTF-8, into records.
 
     One instance per line: ``name path n m best bound k`` where ``bound``
     is ``exact`` or ``ub`` and ``--`` marks an unknown ``best`` or ``k``.
     Blank lines and ``#`` comments are skipped; paths are resolved
-    relative to the manifest's directory.
+    relative to the manifest's directory.  A malformed row, or a byte that
+    is not UTF-8, raises an InputError naming the file and the line.
     """
-    base = os.path.dirname(os.path.abspath(path))
+    return read_input(path, _parse_manifest, os.path.dirname(os.path.abspath(path)),
+                      encoding="utf-8", errors="strict")
+
+
+def _parse_manifest(text: str, base: str) -> list[InstanceRecord]:
     records: list[InstanceRecord] = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as handle, naming_file(path):
-        for line_no, raw in enumerate(handle, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 7:
-                raise InputError(f"expected 7 fields, got {len(parts)}", line_no)
-            name, rel, n_s, m_s, best_s, bound_s, k_s = parts
-            if name in seen:
-                raise InputError(f"duplicate instance name {name!r}", line_no)
-            seen.add(name)
-            try:
-                n = int(n_s)
-                m = int(m_s)
-            except ValueError:
-                raise InputError(f"bad vertex/edge counts {n_s!r} {m_s!r}", line_no) from None
-            if best_s == "--":
-                best = None
-                if bound_s != "--":
-                    raise InputError("bound given without a best value", line_no)
-                bound = None
-            else:
-                try:
-                    best = int(best_s)
-                except ValueError:
-                    raise InputError(f"bad best value {best_s!r}", line_no) from None
-                if bound_s not in ("exact", "ub"):
-                    raise InputError(f"bound must be 'exact' or 'ub', got {bound_s!r}", line_no)
-                bound = bound_s == "exact"
-            try:
-                k = None if k_s == "--" else int(k_s)
-            except ValueError:
-                raise InputError(f"bad color count {k_s!r}", line_no) from None
-            records.append(InstanceRecord(name, os.path.join(base, rel), n, m, best, bound, k))
+    for line_no, _, parts in data_lines(text, "#"):
+        if len(parts) != 7:
+            raise InputError(f"expected 7 fields, got {len(parts)}", line_no)
+        name, rel, n_s, m_s, best_s, bound_s, k_s = parts
+        if name in seen:
+            raise InputError(f"duplicate instance name {name!r}", line_no)
+        seen.add(name)
+        n, m = ints(parts[2:4], line_no, "bad vertex/edge counts {!r} {!r}", n_s, m_s)
+        if best_s == "--":
+            best = None
+            if bound_s != "--":
+                raise InputError("bound given without a best value", line_no)
+            bound = None
+        else:
+            best = ints([best_s], line_no, "bad best value {!r}", best_s)[0]
+            if bound_s not in ("exact", "ub"):
+                raise InputError(f"bound must be 'exact' or 'ub', got {bound_s!r}", line_no)
+            bound = bound_s == "exact"
+        k = None if k_s == "--" else ints([k_s], line_no, "bad color count {!r}", k_s)[0]
+        records.append(InstanceRecord(name, os.path.join(base, rel), n, m, best, bound, k))
     return records
 
 
@@ -125,7 +115,7 @@ def load_instance(record: InstanceRecord) -> Graph:
     graph = load_dimacs(record.path)
     if graph.n != record.n or graph.edge_count != record.m:
         raise InputError(
-            f"instance {record.name}: file has n={graph.n} m={graph.edge_count}, "
+            f"{record.path}: instance {record.name} has n={graph.n} m={graph.edge_count}, "
             f"manifest declares n={record.n} m={record.m}"
         )
     return graph

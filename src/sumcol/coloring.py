@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .graph import Graph, InputError, bits, naming_file
+from .graph import Graph, InputError, bits, data_lines, ints, read_input
 
 
 class Coloring:
@@ -168,22 +168,15 @@ def parse_coloring(text: str, graph: Graph) -> Coloring:
     disagrees with the body, and improper colorings, with an InputError
     that carries the number of a refused line.
     """
-    header: tuple[int, int] | None = None
+    header: list[int] | None = None
     seen: dict[int, int] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        fields = line.split()
+    for line_no, line, fields in data_lines(text, "c"):
         if fields[0] == "s":
             if header is not None:
                 raise InputError("duplicate header", line_no)
             if len(fields) != 3:
                 raise InputError(f"malformed header {line!r}", line_no)
-            try:
-                header = (int(fields[1]), int(fields[2]))
-            except ValueError:
-                raise InputError(f"non-integer header {line!r}", line_no) from None
+            header = ints(fields[1:], line_no, "non-integer header {!r}", line)
             if header[1] < 0:
                 raise InputError(f"negative header k={header[1]}", line_no)
         elif fields[0] == "v":
@@ -191,10 +184,7 @@ def parse_coloring(text: str, graph: Graph) -> Coloring:
                 raise InputError("vertex line before header", line_no)
             if len(fields) != 3:
                 raise InputError(f"malformed vertex line {line!r}", line_no)
-            try:
-                v, c = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise InputError(f"non-integer vertex line {line!r}", line_no) from None
+            v, c = ints(fields[1:], line_no, "non-integer vertex line {!r}", line)
             if not 1 <= v <= graph.n:
                 raise InputError(f"vertex {v} outside 1..{graph.n}", line_no)
             if v in seen:
@@ -222,8 +212,7 @@ def parse_coloring(text: str, graph: Graph) -> Coloring:
 
 
 def load_coloring(path: str, graph: Graph) -> Coloring:
-    with open(path, "r", encoding="ascii", errors="replace") as fh, naming_file(path):
-        return parse_coloring(fh.read(), graph)
+    return read_input(path, parse_coloring, graph)
 
 
 def save_coloring(path: str, coloring: Coloring) -> None:

@@ -1,4 +1,5 @@
-"""Undirected simple graphs and DIMACS .col parsing.
+"""Undirected simple graphs, DIMACS .col parsing, and the reading of
+input files.
 
 Vertices are 0-based ints internally; all file formats use 1-based ids.
 Adjacency is kept as one bitmask per vertex (fast set algebra, O(1)
@@ -10,12 +11,19 @@ call, so only for a graph that a tabu search runs on), and two lower
 bounds: the size of a greedy clique (``Graph.clique_size``) and a
 clique-partition bound on the color sum (``Graph.sum_bound``).  Graphs are
 immutable.
+
+Every input file, a graph, a coloring or a manifest, is read by
+``read_input``: it decodes the file (ASCII with undecodable bytes replaced,
+or strict UTF-8 for a manifest), runs the format's parser and names the
+file in front of any ``InputError``.  The parsers cut their text into
+numbered lines with ``data_lines`` and convert fields with ``ints``.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
+
+_T = TypeVar("_T")
 
 
 class InputError(ValueError):
@@ -29,14 +37,48 @@ class InputError(ValueError):
         self.line_no = line_no
 
 
-@contextmanager
-def naming_file(path: str) -> Iterator[None]:
-    """Put ``path`` in front of the message of an InputError raised inside."""
+def read_input(path: str, parse: Callable[..., _T], *args: object,
+               encoding: str = "ascii", errors: str = "replace") -> _T:
+    """``parse(text, *args)`` of the file at ``path`` decoded in ``encoding``.
+
+    An InputError raised by the parser gets ``path`` in front of its
+    message; so does a byte that ``encoding`` cannot decode (possible only
+    with ``errors="strict"``), refused as an InputError on that byte's line.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read()
     try:
-        yield
+        try:
+            text = data.decode(encoding, errors)
+        except UnicodeDecodeError as exc:
+            # lines counted as data_lines counts them; "." stands in for the
+            # byte, so that the last line counted is the byte's own
+            before = data[:exc.start].decode(encoding) + "."
+            raise InputError(f"byte 0x{data[exc.start]:02x} is not valid {encoding}",
+                             len(before.splitlines())) from None
+        return parse(text, *args)
     except InputError as exc:
         exc.args = (f"{path}: {exc}",)
         raise
+
+
+def data_lines(text: str, comment: str) -> Iterator[tuple[int, str, list[str]]]:
+    """``(line_no, line, fields)`` for each line of ``text`` that is neither
+    blank nor a comment (starts with ``comment`` once stripped); line numbers
+    count from 1 and ``line`` is stripped."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith(comment):
+            yield line_no, line, line.split()
+
+
+def ints(fields: list[str], line_no: int, message: str, *shown: object) -> list[int]:
+    """``fields`` as integers, or InputError(message.format(*shown), line_no)
+    if one is not an integer; the message is only formatted then."""
+    try:
+        return list(map(int, fields))
+    except ValueError:
+        raise InputError(message.format(*shown), line_no) from None
 
 
 class Graph:
@@ -197,19 +239,24 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _grow_clique(graph: Graph, v: int, mask: int) -> int:
+    """The clique grown from ``v`` by adding the lowest-numbered common
+    neighbour among the ``mask`` vertices until none is left, as a bitmask."""
+    adj = graph.adj_masks
+    clique = 1 << v
+    cand = adj[v] & mask
+    while cand:
+        low = cand & -cand
+        clique |= low
+        cand &= adj[low.bit_length() - 1]
+    return clique
+
+
 def greedy_clique(graph: Graph) -> int:
     """Largest clique grown greedily from each vertex, adding the
     lowest-numbered common neighbour; a lower bound on k."""
-    adj = graph.adj_masks
-    best = 0
-    for v in range(graph.n):
-        cand = adj[v]
-        size = 1
-        while cand:
-            cand &= adj[(cand & -cand).bit_length() - 1]
-            size += 1
-        best = max(best, size)
-    return best
+    everyone = (1 << graph.n) - 1
+    return max((_grow_clique(graph, v, everyone).bit_count() for v in range(graph.n)), default=0)
 
 
 def clique_partition_bound(graph: Graph) -> int:
@@ -221,16 +268,10 @@ def clique_partition_bound(graph: Graph) -> int:
     1 + ... + s = s(s + 1) / 2 to any coloring's sum (Moukrim, Sghiouer,
     Lucet & Li 2010).
     """
-    adj = graph.adj_masks
     rest = (1 << graph.n) - 1
     bound = 0
     while rest:
-        clique = low = rest & -rest
-        cand = adj[low.bit_length() - 1] & rest
-        while cand:
-            low = cand & -cand
-            clique |= low
-            cand &= adj[low.bit_length() - 1]
+        clique = _grow_clique(graph, (rest & -rest).bit_length() - 1, rest)
         rest ^= clique
         size = clique.bit_count()
         bound += size * (size + 1) // 2
@@ -249,21 +290,14 @@ def parse_dimacs(text: str) -> Graph:
     """
     n = -1
     edges: list[tuple[int, int]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        fields = line.split()
+    for line_no, line, fields in data_lines(text, "c"):
         kind = fields[0]
         if kind == "p":
             if n >= 0:
                 raise InputError("duplicate problem line", line_no)
             if len(fields) != 4 or fields[1] not in ("edge", "edges"):
                 raise InputError(f"malformed problem line {line!r}", line_no)
-            try:
-                n, declared = int(fields[2]), int(fields[3])
-            except ValueError:
-                raise InputError(f"non-integer problem line {line!r}", line_no) from None
+            n, declared = ints(fields[2:], line_no, "non-integer problem line {!r}", line)
             if n < 0 or declared < 0:
                 raise InputError(f"negative counts in problem line {line!r}", line_no)
         elif kind == "e":
@@ -271,10 +305,7 @@ def parse_dimacs(text: str) -> Graph:
                 raise InputError("edge line before problem line", line_no)
             if len(fields) != 3:
                 raise InputError(f"malformed edge line {line!r}", line_no)
-            try:
-                u, v = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise InputError(f"non-integer endpoints {line!r}", line_no) from None
+            u, v = ints(fields[1:], line_no, "non-integer endpoints {!r}", line)
             if not (1 <= u <= n and 1 <= v <= n):
                 raise InputError(f"endpoint outside 1..{n} in {line!r}", line_no)
             edges.append((u - 1, v - 1))
@@ -286,8 +317,7 @@ def parse_dimacs(text: str) -> Graph:
 
 
 def load_dimacs(path: str) -> Graph:
-    with open(path, "r", encoding="ascii", errors="replace") as fh, naming_file(path):
-        return parse_dimacs(fh.read())
+    return read_input(path, parse_dimacs)
 
 
 def to_dimacs(graph: Graph, comment: str | None = None) -> str:

@@ -292,7 +292,6 @@ class TabuSearchRun:
         on_improve: Callable[[int, int], None] | None = None,
     ):
         self.graph = graph
-        self.params = params
         self.rng = rng
         self.validate = validate
         self.on_improve = on_improve

@@ -107,6 +107,19 @@ def test_load_manifest_rejects_duplicate_names(tmp_path):
     assert info.value.line_no == 2
 
 
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+def test_load_manifest_names_the_line_of_an_undecodable_byte(tmp_path, newline):
+    """A byte that is not UTF-8 is refused on its own line, counted as the
+    rows are, whatever the line ending."""
+    path = tmp_path / "manifest.txt"
+    rows = [b"# caf\xc3\xa9", b"a a.col 1 0 1 exact 1", b"b b\xff.col 1 0 1 exact 1"]
+    path.write_bytes(newline.join(rows) + newline)
+    with pytest.raises(InputError) as info:
+        load_manifest(str(path))
+    assert info.value.line_no == 3
+    assert str(info.value) == f"{path}: line 3: byte 0xff is not valid utf-8"
+
+
 @pytest.mark.parametrize("order", [30, 40, 60])
 def test_manifest_qg_order_rows_match_the_rook_graph(order):
     """The qg.order rows describe K_N x K_N: one vertex per cell of an N x N

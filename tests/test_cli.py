@@ -147,7 +147,9 @@ def test_solve_degenerate_graphs(tmp_path, capsys, name, mode):
 
 def test_solve_reports_parse_errors(tmp_path, capsys):
     """A refused input file is named in front of the refused line: a graph
-    given to solve or listed in a manifest, a warm start, a manifest."""
+    given to solve or listed in a manifest, a warm start, a manifest, and
+    a manifest holding a byte that is not UTF-8.  A listed graph whose
+    size disagrees with its row is named too."""
     bad = tmp_path / "bad.col"
     bad.write_text("p edge 2 1\ne 1 5\n")
     good = tmp_path / "good.col"
@@ -158,11 +160,18 @@ def test_solve_reports_parse_errors(tmp_path, capsys):
     lists_bad.write_text(f"bad {bad} 2 1 -- -- --\n")
     malformed = tmp_path / "malformed.txt"
     malformed.write_text("# instances\nbad bad.col 2\n")
+    lists_wrong_size = tmp_path / "lists_wrong_size.txt"
+    lists_wrong_size.write_text(f"good {good} 3 1 -- -- --\n")
+    undecodable = tmp_path / "undecodable.txt"
+    undecodable.write_bytes(b"caf\xe9 good.col 2 1 -- -- --\n")
     cases = [
         (["solve", str(bad)], f"{bad}: line 2: endpoint outside 1..2 in 'e 1 5'"),
         (["bench", str(lists_bad)], f"{bad}: line 2: endpoint outside 1..2 in 'e 1 5'"),
         (["solve", str(good), "--warm-start", str(warm)], f"{warm}: line 3: unrecognized line 'q'"),
         (["bench", str(malformed)], f"{malformed}: line 2: expected 7 fields, got 3"),
+        (["bench", str(lists_wrong_size)],
+         f"{good}: instance good has n=2 m=1, manifest declares n=3 m=1"),
+        (["bench", str(undecodable)], f"{undecodable}: line 1: byte 0xe9 is not valid utf-8"),
     ]
     for argv, message in cases:
         assert main(argv) == 1
