@@ -179,6 +179,8 @@ def parse_coloring(text: str, graph: Graph) -> Coloring:
             header = ints(fields[1:], line_no, "non-integer header {!r}", line)
             if header[1] < 0:
                 raise InputError(f"negative header k={header[1]}", line_no)
+            if header[1] > graph.n:
+                raise InputError(f"header k={header[1]} exceeds the {graph.n} vertices", line_no)
         elif fields[0] == "v":
             if header is None:
                 raise InputError("vertex line before header", line_no)
@@ -189,20 +191,18 @@ def parse_coloring(text: str, graph: Graph) -> Coloring:
                 raise InputError(f"vertex {v} outside 1..{graph.n}", line_no)
             if v in seen:
                 raise InputError(f"vertex {v} assigned twice", line_no)
+            if not 1 <= c <= header[1]:
+                raise InputError(f"color {c} outside 1..{header[1]}", line_no)
             seen[v] = c
         else:
             raise InputError(f"unrecognized line {line!r}", line_no)
     if header is None:
         raise InputError("missing header line")
     total, k = header
-    if k > graph.n:
-        raise InputError(f"header k={k} exceeds the {graph.n} vertices")
     missing = graph.n - len(seen)
     if missing:
         raise InputError(f"incomplete coloring: {missing} vertices unassigned")
     colors = [seen[v] for v in range(1, graph.n + 1)]
-    if any(not 1 <= c <= k for c in colors):
-        raise InputError(f"colors outside 1..{k}")
     if sum(colors) != total:
         raise InputError(f"header sum {total} != actual {sum(colors)}")
     coloring = Coloring.from_assignment(colors, k=k)

@@ -17,12 +17,22 @@ a new fewest-conflicts count: the ``nbmax`` stopping rule of the original
 TABUCOL (Hertz & de Werra 1987).  A failing attempt reaches its final
 conflict count early and only wanders after it, so the rule mostly cuts
 the last, infeasible k of the descent.
+
+Each iteration of an attempt walks only its conflicting vertices, the only
+ones a move may recolor.  It keeps them in an ascending list, exact move by
+move: after a move only the mover, its neighbors left in the old class and
+its neighbors in the new class can change status, and per-class vertex masks
+name those neighbors.  It skips a vertex whose best possible delta cannot
+reach the best move found so far.  The list holds the vertices in the order
+a scan of all of them would visit, so an attempt makes the same moves and
+the same draws as one that scans every vertex.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, insort
 
 from .coloring import Coloring, canonical_relabel
 from .graph import Graph
@@ -100,18 +110,25 @@ def tabucol(graph: Graph, k: int, params: TabucolParams, rng: random.Random) -> 
 
 
 def _tabucol_attempt(graph: Graph, k: int, params: TabucolParams, rng: random.Random) -> Coloring | None:
+    # Colors are 0-based here and 1-based only in the returned Coloring.
     n = graph.n
     adj_lists = graph.adj_lists
-    colors = [rng.randrange(k) + 1 for _ in range(n)]
-    # counts[v][c-1]: neighbors of v currently colored c
+    adj_masks = graph.adj_masks
+    colors = [rng.randrange(k) for _ in range(n)]
+    # counts[v][c]: neighbors of v currently colored c; class_masks[c]: the vertices colored c
     counts = [[0] * k for _ in range(n)]
+    class_masks = [0] * k
     for v in range(n):
-        cv = colors[v] - 1
+        cv = colors[v]
+        class_masks[cv] |= 1 << v
         for u in adj_lists[v]:
             counts[u][cv] += 1
-    conflicts = sum(counts[v][colors[v] - 1] for v in range(n)) // 2
+    # the vertices with a neighbor in their own class, ascending: exactly the
+    # ones a move can recolor, kept exact move by move
+    conflicted = [v for v in range(n) if counts[v][colors[v]]]
+    conflicts = sum(counts[v][colors[v]] for v in conflicted) // 2
     if conflicts == 0:
-        return Coloring.from_assignment(colors, k=k)
+        return Coloring.from_assignment([c + 1 for c in colors], k=k)
     best = conflicts
     last_improvement = 0
     tabu_until = [[0] * k for _ in range(n)]
@@ -124,38 +141,65 @@ def _tabucol_attempt(graph: Graph, k: int, params: TabucolParams, rng: random.Ra
         # sentinel above every delta (a delta is at most degree - 1 < n)
         chosen_delta = n
         aspire_gap = best - conflicts
-        for v in range(n):
+        for v in conflicted:
             row = counts[v]
-            own = colors[v] - 1
+            own = colors[v]
             own_count = row[own]
-            if own_count == 0:
+            # a move's delta row[c] - own_count is compared with chosen_delta
+            # as row[c] with limit; below 0, no move of v can reach chosen_delta
+            limit = own_count + chosen_delta
+            if limit < 0:
                 continue
-            tabu_row = tabu_until[v]
             for c in others[own]:
-                delta = row[c] - own_count
-                if delta > chosen_delta:
+                count = row[c]
+                if count > limit:
                     continue
-                if tabu_row[c] >= it and delta >= aspire_gap:
+                if tabu_until[v][c] >= it and count - own_count >= aspire_gap:
                     continue
-                if delta < chosen_delta:
-                    chosen_delta = delta
+                if count < limit:
+                    limit = count
+                    chosen_delta = count - own_count
                     tied = [(v, c)]
                 else:
                     tied.append((v, c))
         if not tied:
             continue
         v, c = tied[rng.randrange(len(tied))] if len(tied) > 1 else tied[0]
-        old = colors[v] - 1
-        colors[v] = c + 1
+        old = colors[v]
+        colors[v] = c
         for u in adj_lists[v]:
             cu = counts[u]
             cu[old] -= 1
             cu[c] += 1
+        # Only v, its neighbors left in the old class and those in the new
+        # class can change conflict status.  The class masks name those
+        # neighbors; their bits are walked inline, since a generator such as
+        # graph.bits costs about 5% of an attempt here.
+        bit = 1 << v
+        class_masks[old] ^= bit
+        adj = adj_masks[v]
+        hit = adj & class_masks[old]
+        while hit:
+            low = hit & -hit
+            u = low.bit_length() - 1
+            if not counts[u][old]:
+                del conflicted[bisect_left(conflicted, u)]
+            hit ^= low
+        hit = adj & class_masks[c]
+        while hit:
+            low = hit & -hit
+            u = low.bit_length() - 1
+            if counts[u][c] == 1:
+                insort(conflicted, u)
+            hit ^= low
+        class_masks[c] |= bit
+        if not counts[v][c]:
+            del conflicted[bisect_left(conflicted, v)]
         conflicts += chosen_delta
         tabu_until[v][old] = it + int(slope * conflicts) + rng.randint(0, base)
         if conflicts < best:
             if conflicts == 0:
-                return Coloring.from_assignment(colors, k=k)
+                return Coloring.from_assignment([c + 1 for c in colors], k=k)
             best = conflicts
             last_improvement = it
         elif it - last_improvement >= _IDLE_LIMIT:

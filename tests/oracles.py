@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from itertools import combinations, permutations
 
+from sumcol.tabu_search import uniform_min
+
 
 def adjacency_sets(n: int, edges) -> list[set[int]]:
     adj = [set() for _ in range(n)]
@@ -156,6 +158,62 @@ def brute_force_clique_number(n: int, edges) -> int:
          if all(v in adj[u] for u, v in combinations(s, 2))),
         default=0,
     )
+
+
+def tabucol_attempt(n: int, edges, k: int, budget: int, tenure_base: int, tenure_slope: float,
+                    rng, idle_limit: int = 10_000):
+    """One TABUCOL attempt as Hertz & de Werra state it, recounting
+    everything from the edge list at every iteration: uniform initial colors
+    1..k; each iteration scores every recoloring of every conflicting vertex,
+    vertices in order and colors in order, drops the tabu ones that do not
+    beat the best conflict count, and lets ``uniform_min`` pick among the
+    rest; the move's old color is tabu for ``int(slope * conflicts) +
+    uniform{0..base}`` iterations.  Stops at zero conflicts, at the budget,
+    or ``idle_limit`` iterations after the last new best.  Returns the
+    proper assignment (else None) and the delta of each move made."""
+    adj = adjacency_sets(n, edges)
+    colors = [rng.randrange(k) + 1 for _ in range(n)]
+
+    def conflicts():
+        return sum(colors[u] == colors[v] for u, v in edges)
+
+    current = conflicts()
+    deltas: list[int] = []
+    if current == 0:
+        return colors, deltas
+    best = current
+    last_improvement = 0
+    tabu: dict[tuple[int, int], int] = {}
+    for it in range(1, budget + 1):
+        moves = []
+        for v in range(n):
+            tally = [0] * (k + 1)
+            for u in adj[v]:
+                tally[colors[u]] += 1
+            own = tally[colors[v]]
+            if not own:
+                continue
+            for c in range(1, k + 1):
+                delta = tally[c] - own
+                if c == colors[v] or (tabu.get((v, c), 0) >= it and current + delta >= best):
+                    continue
+                moves.append((delta, (v, c)))
+        if not moves:
+            continue
+        v, c = uniform_min(moves, rng)
+        old, colors[v] = colors[v], c
+        after = conflicts()
+        deltas.append(after - current)
+        current = after
+        tabu[v, old] = it + int(tenure_slope * current) + rng.randint(0, tenure_base)
+        if current < best:
+            if current == 0:
+                return colors, deltas
+            best = current
+            last_improvement = it
+        elif it - last_improvement >= idle_limit:
+            return None, deltas
+    return None, deltas
 
 
 def random_gnp(n: int, p: float, rng) -> list[tuple[int, int]]:

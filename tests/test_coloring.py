@@ -169,8 +169,8 @@ REFUSED_LINE = {
     "before header": 1, "duplicate header": 2, "malformed header": 1, "non-integer header": 1,
     "assigned twice": 3, "outside": 3, "unrecognized": 2, "malformed vertex line": 2,
     "non-integer vertex line": 2,
-    "unassigned": None, "colors outside": None, "header sum": None, "not proper": None,
-    "header k=4 exceeds": None, "missing header": None,
+    "unassigned": None, "color 3 outside 1..2": 3, "header sum": None, "not proper": None,
+    "header k=4 exceeds the 3 vertices": 1, "missing header": None,
 }
 
 
@@ -184,11 +184,11 @@ REFUSED_LINE = {
         ("s 4 2\nv 1 1\nv 1 2\nv 3 1\n", "assigned twice"),
         ("s 4 2\nv 1 1\nv 9 2\n", "outside"),
         ("s 4 2\nv 1 1\nv 2 2\n", "unassigned"),
-        ("s 4 2\nv 1 1\nv 2 3\nv 3 1\n", "colors outside"),
+        ("s 4 2\nv 1 1\nv 2 3\nv 3 1\n", "color 3 outside 1..2"),
         ("s 9 2\nv 1 1\nv 2 2\nv 3 1\n", "header sum"),
         ("s 4 2\nv 1 1\nv 2 1\nv 3 2\n", "not proper"),
         ("s 4 2\nx 1 1\n", "unrecognized"),
-        ("s 4 4\nv 1 1\nv 2 2\nv 3 1\n", "header k=4 exceeds"),
+        ("s 4 4\nv 1 1\nv 2 2\nv 3 1\n", "header k=4 exceeds the 3 vertices"),
         ("s 4 2\nv 1\n", "malformed vertex line"),
         ("s 4 2\nv 1 x\n", "non-integer vertex line"),
         ("c only a comment\n", "missing header"),

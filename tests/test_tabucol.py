@@ -146,6 +146,45 @@ def test_tabucol_move_follows_uniform_min():
     assert picked >= 50
 
 
+def _same_attempt(graph, edges, k, budget, seed):
+    """Runs ``_tabucol_attempt`` and the oracle from one seed, asserts the
+    same result and the same generator state, and returns the oracle's."""
+    params = TabucolParams(iteration_budget=budget, restarts=1)
+    ours, reference = random.Random(seed), random.Random(seed)
+    expected, deltas = oracles.tabucol_attempt(graph.n, edges, k, budget, params.tenure_base,
+                                               params.tenure_slope, reference)
+    result = tabucol_module._tabucol_attempt(graph, k, params, ours)
+    assert (result.assignment if result else None) == expected
+    assert ours.getstate() == reference.getstate()
+    return expected, deltas
+
+
+def test_tabucol_attempt_matches_the_plain_oracle(myciel3):
+    """Whole attempts against ``oracles.tabucol_attempt``, which recounts
+    every conflict at every iteration: the attempt's conflict list, count
+    limit and vertex skip must leave every move and every draw as they are.
+    The cases include successes, failures, and moves below -1, where the
+    attempt skips vertices whose best delta cannot reach the minimum."""
+    rng = random.Random(24)
+    found = failed = steep = 0
+    for case in range(300):
+        n = rng.randint(1, 40)
+        edges = oracles.random_gnp(n, rng.choice((0.05, 0.1, 0.2, 0.35, 0.5, 0.8)), rng)
+        k = rng.randint(1, max(1, n // 2))
+        budget = round(5000 ** rng.random())
+        expected, deltas = _same_attempt(Graph.from_edges(n, edges), edges, k, budget, case)
+        found += expected is not None
+        failed += expected is None
+        steep += any(delta < -1 for delta in deltas)
+    assert min(found, failed, steep) >= 30, (found, failed, steep)
+    # below the chromatic number, to the idle stop
+    c5_edges = [(i, (i + 1) % 5) for i in range(5)]
+    for graph, edges, k in ((Graph.from_edges(5, c5_edges), c5_edges, 2),
+                            (myciel3, list(myciel3.edges()), 3)):
+        expected, deltas = _same_attempt(graph, edges, k, 10**9, 7)
+        assert expected is None and deltas
+
+
 class _CountingRandom(random.Random):
     """Counts ``randint`` calls, one per TABUCOL move (its tabu tenure), and
     fails the test instead of letting a search that never stops hang it."""

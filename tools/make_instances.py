@@ -11,12 +11,15 @@ a different vertex numbering):
 
 The remaining benchmark files are empirical graphs (book graphs, road
 distances, football games, fixed random instances); they cannot be derived
-and must be supplied by the user.  Run from the repository root:
+and must be supplied by the user.  For the random DSJC rows, ``gnp`` builds
+seeded stand-ins in memory from the same model; it writes no file, and its
+graphs are not the distributed ones.  Run from the repository root:
 
     python tools/make_instances.py
 """
 
 import os
+import random
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -57,6 +60,14 @@ def queens(rows: int, cols: int) -> Graph:
                     if r1 == r2 or c1 == c2 or abs(r1 - r2) == abs(c1 - c2):
                         edges.append((u, v))
     return Graph.from_edges(rows * cols, edges)
+
+
+def gnp(n: int, p: float, seed: int) -> Graph:
+    """Uniform random graph G(n, p), the model of the DSJC instances (Johnson,
+    Aragon, McGeoch & Schevon 1991): one ``random.Random(seed).random() < p``
+    draw per pair u < v, pairs in ascending order."""
+    draw = random.Random(seed).random
+    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if draw() < p])
 
 
 # (file stem, builder, expected n, expected m)
