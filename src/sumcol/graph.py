@@ -12,6 +12,12 @@ bounds: the size of a greedy clique (``Graph.clique_size``) and a
 clique-partition bound on the color sum (``Graph.sum_bound``).  Graphs are
 immutable.
 
+Two methods find the connected components of an induced subgraph, one per
+caller: ``Graph.component_masks``, the tabu search's, walks only the smaller
+side of a two-color-class union, and ``Graph.reference_components``, the one
+``--validate`` checks it against, searches any vertex set breadth first over
+``adj_masks`` alone.
+
 Every input file, a graph, a coloring or a manifest, is read by
 ``read_input``: it decodes the file (ASCII with undecodable bytes replaced,
 or strict UTF-8 for a manifest), runs the format's parser and names the
@@ -169,52 +175,59 @@ class Graph:
         self._byte_tables = tables
         return tables
 
-    def component_masks(self, subset_mask: int, side: int = 0) -> list[int]:
+    def component_masks(self, subset_mask: int, side: int) -> list[int]:
         """Connected components of the subgraph induced by the vertices set
-        in ``subset_mask``, each returned as a bitmask.  Singletons included.
-        Ordered by smallest member vertex.
+        in ``subset_mask``, each returned as a bitmask, singletons included,
+        ordered by smallest member vertex: the tabu search's component search.
 
-        Without ``side`` this is the reference search: it grows each
-        component breadth first, ORing the ``adj_masks`` of its newest
-        vertices one vertex at a time.  It reads nothing else, and shares no
-        code with ``neighborhood``, its byte tables or the side search, so
-        ``--validate`` checks the engine against an independent route.
+        Precondition: ``subset_mask & side`` and ``subset_mask & ~side`` are
+        both independent sets, as they are when ``subset_mask`` lies in the
+        union of two color classes and ``side`` is one of them.  Every edge
+        then crosses between the two parts, so the search walks only the
+        smaller part: each of its vertices joins its neighbors in the other
+        part, and merges the components that already hold one of them.
+        Without the precondition the result may be wrong;
+        ``reference_components`` has none.
+        """
+        adj = self.adj_masks
+        small = subset_mask & side
+        other = subset_mask ^ small
+        if small.bit_count() > other.bit_count():
+            small, other = other, small
+        # vertices of the larger part no component has reached yet
+        rest = other
+        comps = []
+        while small:
+            low = small & -small
+            small ^= low
+            comp = (adj[low.bit_length() - 1] & other) | low
+            rest &= ~comp
+            apart = []
+            for c in comps:
+                if c & comp:
+                    comp |= c
+                else:
+                    apart.append(c)
+            apart.append(comp)
+            comps = apart
+        while rest:
+            low = rest & -rest
+            comps.append(low)
+            rest ^= low
+        comps.sort(key=lambda c: c & -c)
+        return comps
 
-        A nonzero ``side`` promises that ``subset_mask & side`` and
-        ``subset_mask & ~side`` are both independent sets, as the union of
-        two color classes is.  Every edge then crosses between the two
-        parts, so the search walks only the smaller part: each of its
-        vertices joins its neighbors in the other part, and merges the
-        components that already hold one of them.  The result is the same.
+    def reference_components(self, subset_mask: int) -> list[int]:
+        """The list ``component_masks`` returns, for any vertex set: the
+        reference search that ``--validate`` checks the engine against.
+
+        It grows each component breadth first, ORing the ``adj_masks`` of
+        its newest vertices one vertex at a time.  It reads nothing else,
+        and shares no code with ``neighborhood``, its byte tables or
+        ``component_masks``, so the check compares two independent routes.
         """
         adj = self.adj_masks
         comps = []
-        if side:
-            small = subset_mask & side
-            other = subset_mask ^ small
-            if small.bit_count() > other.bit_count():
-                small, other = other, small
-            # vertices of the larger part no component has reached yet
-            rest = other
-            while small:
-                low = small & -small
-                small ^= low
-                comp = (adj[low.bit_length() - 1] & other) | low
-                rest &= ~comp
-                apart = []
-                for c in comps:
-                    if c & comp:
-                        comp |= c
-                    else:
-                        apart.append(c)
-                apart.append(comp)
-                comps = apart
-            while rest:
-                low = rest & -rest
-                comps.append(low)
-                rest ^= low
-            comps.sort(key=lambda c: c & -c)
-            return comps
         remaining = subset_mask
         while remaining:
             comp = frontier = remaining & -remaining

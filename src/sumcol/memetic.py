@@ -101,7 +101,10 @@ def partition_crossover(parents: Sequence[Coloring], graph: Graph, rng: random.R
 def diversity_score(index: int, colorings: Sequence[Coloring], n: int) -> float:
     """Replacement score of one coloring within a pool: its sum plus
     exp(0.08 n / d) where d is the Hamming distance to its nearest other
-    member.  Infinite for exact duplicates; higher is worse."""
+    member.  Infinite for exact duplicates, and where the penalty overflows
+    a float (0.08 n / d above about 709.78, so only past n / d = 8872):
+    such a coloring is as close to a duplicate as a float can tell.
+    Higher is worse."""
     me = colorings[index]
     nearest = min(
         hamming_distance(me, other)
@@ -110,7 +113,10 @@ def diversity_score(index: int, colorings: Sequence[Coloring], n: int) -> float:
     )
     if nearest == 0:
         return math.inf
-    return me.sum + math.exp(0.08 * n / nearest)
+    try:
+        return me.sum + math.exp(0.08 * n / nearest)
+    except OverflowError:
+        return math.inf
 
 
 def update_population(

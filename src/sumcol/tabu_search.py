@@ -124,11 +124,12 @@ class SearchStats:
 
 
 def _pair_exchanges(coloring: Coloring, graph: Graph, color_a: int, color_b: int) -> list[ExchangeMove]:
-    """All exchange moves between one class pair (a < b)."""
+    """All exchange moves between one class pair (a < b), from the reference
+    component search ``Graph.reference_components``."""
     mask_a = coloring.class_masks[color_a - 1]
     union = mask_a | coloring.class_masks[color_b - 1]
     moves = []
-    for comp in graph.component_masks(union):
+    for comp in graph.reference_components(union):
         if comp & (comp - 1):  # at least two vertices
             delta = (color_b - color_a) * (2 * (comp & mask_a).bit_count() - comp.bit_count())
             moves.append(ExchangeMove(comp, color_a, color_b, delta))
@@ -277,9 +278,10 @@ class TabuSearchRun:
     exact, and the memo survives a perturbation.  It holds at most
     ``_COMPONENT_MEMO_SIZE`` (1024) sets and is emptied when full.
     Under ``validate`` every live row and the remembered list it was built
-    from are checked against a plain component search of the pair's union,
-    which reads only the adjacency masks: it shares no code with the
-    isolated masks, the smaller-side search or the memo.
+    from are checked against ``Graph.reference_components`` of the pair's
+    union, which reads only the adjacency masks: it shares no code with the
+    isolated masks, the smaller-side search ``Graph.component_masks`` or
+    the memo.
     """
 
     def __init__(

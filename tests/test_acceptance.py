@@ -221,7 +221,7 @@ def test_criterion_5b_incremental_sum_over_1e5_moves(queen5_5):
                 a, b = b, a
             mask_a = coloring.class_masks[a - 1]
             union = mask_a | coloring.class_masks[b - 1]
-            comps = [c for c in graph.component_masks(union) if c & (c - 1)]
+            comps = [c for c in graph.reference_components(union) if c & (c - 1)]
             if not comps:
                 continue
             comp = rng.choice(comps)

@@ -6,11 +6,9 @@ import pytest
 
 from sumcol import (
     Coloring,
-    Graph,
     MemeticParams,
     TabucolParams,
     TabuSearchParams,
-    is_proper,
     run_instance,
     run_seed,
     welch_t_test,
@@ -27,7 +25,7 @@ from sumcol.bench import (
 )
 from sumcol.graph import InputError
 
-from conftest import MANIFEST_PATH, instance_path
+from conftest import instance_path
 
 
 def quick_params(**tabu_overrides):
@@ -118,25 +116,6 @@ def test_load_manifest_names_the_line_of_an_undecodable_byte(tmp_path, newline):
         load_manifest(str(path))
     assert info.value.line_no == 3
     assert str(info.value) == f"{path}: line 3: byte 0xff is not valid utf-8"
-
-
-@pytest.mark.parametrize("order", [30, 40, 60])
-def test_manifest_qg_order_rows_match_the_rook_graph(order):
-    """The qg.order rows describe K_N x K_N: one vertex per cell of an N x N
-    grid, adjacent within a row or a column.  Each row is an N-clique, so
-    any coloring sums to at least N * N(N+1)/2, and the Latin square
-    (r + c) mod N + 1 is a proper coloring with exactly that sum."""
-    record = next(r for r in load_manifest(str(MANIFEST_PATH)) if r.name == f"qg.order{order}")
-    cells = range(order * order)
-    graph = Graph.from_edges(order * order, [
-        (u, v) for u in cells for v in cells
-        if u < v and (u // order == v // order or u % order == v % order)
-    ])
-    assert (record.n, record.m) == (graph.n, graph.edge_count)
-    latin = Coloring.from_assignment([(u // order + u % order) % order + 1 for u in cells])
-    assert is_proper(latin, graph)
-    assert latin.sum == order * order * (order + 1) // 2
-    assert (record.best_known, record.bound_exact, record.gcp_k) == (latin.sum, True, order)
 
 
 def test_load_instance_checks_declared_sizes(tmp_path):
@@ -358,8 +337,6 @@ def test_run_instance_warm_start_bounds_result(myciel3):
     record = myciel3_record()
     base = run_instance(record, runs=1, base_seed=2, params=quick_params(),
                         graph=myciel3, target=21)
-    from sumcol import Coloring
-
     warm = Coloring.from_assignment(base.best_assignment)
     report = run_instance(record, mode="dnts", runs=2, base_seed=4,
                           params=quick_params(), graph=myciel3, warm_start=warm)

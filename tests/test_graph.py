@@ -98,7 +98,7 @@ def test_roundtrip_random_graphs():
 
 def components(g, subset):
     """Components of the subgraph induced by ``subset``, as vertex sets."""
-    return [set(bits(m)) for m in g.component_masks(sum(1 << v for v in subset))]
+    return [set(bits(m)) for m in g.reference_components(sum(1 << v for v in subset))]
 
 
 def test_components_against_union_find():
@@ -121,7 +121,7 @@ def test_components_ordered_by_smallest_member():
 
 def test_side_search_matches_plain_search_and_union_find():
     """With one class of a proper coloring as the side, the search from the
-    smaller side returns the plain search's list, and both agree with
+    smaller side returns the reference search's list, and both agree with
     union-find: on every class pair's whole union (whose isolated vertices
     are singletons), on its linked part, and on a single class."""
     rng = random.Random(37)
@@ -142,7 +142,7 @@ def test_side_search_matches_plain_search_and_union_find():
                 linked = sum(1 << v for v in bits(union)
                              if any(assignment[u] == (b if assignment[v] == a else a) for u in adj[v]))
                 for subset in (union, linked):
-                    plain = g.component_masks(subset)
+                    plain = g.reference_components(subset)
                     reference = oracles.union_find_components(n, edges, list(bits(subset)))
                     assert {frozenset(bits(c)) for c in plain} == set(reference)
                     # only the side's bits inside the subset count
@@ -157,7 +157,7 @@ def test_side_search_merges_components_through_shared_neighbors():
     g = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
     evens, odds = 0b1010101, 0b0101010
     whole = [0b0111111, 0b1000000]
-    assert g.component_masks(evens | odds) == whole
+    assert g.reference_components(evens | odds) == whole
     assert g.component_masks(evens | odds, evens) == whole
     assert g.component_masks(evens | odds, odds) == whole
     # without 1 and 5: {0}, {2, 3, 4} and {6}
@@ -186,7 +186,7 @@ def test_neighborhood_matches_the_per_vertex_or(n):
 
 
 def test_reference_component_search_reads_only_the_adjacency_masks():
-    """The plain search never builds the byte tables the engine's
+    """The reference search never builds the byte tables the engine's
     neighbourhoods read, so ``--validate`` compares two routes; on dense
     subsets of a dense graph it agrees with union-find."""
     rng = random.Random(64)
@@ -194,7 +194,7 @@ def test_reference_component_search_reads_only_the_adjacency_masks():
     g = Graph.from_edges(64, edges)
     for _ in range(20):
         subset = [v for v in range(64) if rng.random() < 0.6]
-        ours = g.component_masks(sum(1 << v for v in subset))
+        ours = g.reference_components(sum(1 << v for v in subset))
         reference = oracles.union_find_components(64, edges, subset)
         assert {frozenset(bits(c)) for c in ours} == set(reference)
     assert g._byte_tables is None

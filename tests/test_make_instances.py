@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from sumcol import Coloring, is_proper
 from sumcol.bench import load_manifest
 from sumcol.graph import to_dimacs
 
@@ -45,3 +46,34 @@ def test_gnp_stand_in_is_pinned(p, m, digest):
     g = GENERATOR.gnp(250, p, 1)
     assert (g.n, g.edge_count) == (250, m)
     assert hashlib.sha256(to_dimacs(g).encode("ascii")).hexdigest() == digest
+
+
+def test_planted_stand_in_is_pinned():
+    """The planted stand-in for flat300_20_0 draws the same graph on every
+    run, and its hidden coloring v % 20 + 1 is proper with the flat row's
+    best sum 3150 = 15 * 210, an upper bound on its optimum."""
+    g = GENERATOR.planted(300, 20, 0.5, 1)
+    assert (g.n, g.edge_count) == (300, 21362)
+    assert hashlib.sha256(to_dimacs(g).encode("ascii")).hexdigest() == (
+        "488e5452f00c2ce5acb605205524addeb2789f7b1139b4addb2b2b135356047c")
+    hidden = Coloring.from_assignment([v % 20 + 1 for v in range(300)])
+    assert is_proper(hidden, g)
+    assert hidden.sum == 3150 == 15 * 210
+
+
+@pytest.mark.parametrize("order", [30, 40, 60])
+def test_manifest_qg_order_rows_match_the_rook_graph(order):
+    """The qg.order rows describe K_N x K_N: one vertex per cell of an N x N
+    grid, adjacent within a row or a column.  Each row is an N-clique, so
+    any coloring sums to at least N * N(N+1)/2, the clique-partition bound,
+    and the Latin square (r + c) mod N + 1 is a proper coloring with exactly
+    that sum: it is optimal."""
+    record = next(r for r in load_manifest(str(MANIFEST_PATH)) if r.name == f"qg.order{order}")
+    cells = range(order * order)
+    graph = GENERATOR.rook(order)
+    assert (record.n, record.m) == (graph.n, graph.edge_count)
+    latin = Coloring.from_assignment([(u // order + u % order) % order + 1 for u in cells])
+    assert is_proper(latin, graph)
+    assert latin.sum == order * order * (order + 1) // 2
+    assert graph.sum_bound == latin.sum
+    assert (record.best_known, record.bound_exact, record.gcp_k) == (latin.sum, True, order)

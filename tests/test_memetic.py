@@ -53,6 +53,27 @@ def test_diversity_score_formula():
     assert diversity_score(2, dup, 4) == math.inf
 
 
+def test_diversity_penalty_past_the_float_range_counts_as_a_duplicate():
+    """At n = 9000 two colorings one vertex apart have exp(720) as their
+    penalty, past the largest float: both score infinite, and the pool is
+    still updated.  At n = 8872, exp(709.76) is still a float."""
+    n = 9000
+    a = Coloring.from_assignment([1] * n)
+    b = Coloring.from_assignment([1] * (n - 1) + [2])
+    x = Coloring.from_assignment([2] * n)
+    pool = [a, x, b]
+    assert diversity_score(0, pool, n) == math.inf
+    assert diversity_score(2, pool, n) == math.inf
+    assert diversity_score(1, pool, n) == pytest.approx(2 * n + math.exp(0.08 * n / (n - 1)))
+    assert diversity_score(0, [Coloring.from_assignment([1] * 8872),
+                               Coloring.from_assignment([1] * 8871 + [2])], 8872) < math.inf
+    for seed in range(4):
+        pop = [a, x]
+        entered = update_population(pop, b, random.Random(seed), 0.2)
+        # a and b tie as the worst: one of them leaves, never the distant x
+        assert pop == ([b, x] if entered else [a, x])
+
+
 def test_update_population_discards_duplicates():
     pop = [Coloring.from_assignment(x) for x in ([1, 1, 2], [1, 2, 1], [2, 1, 1])]
     clone = Coloring.from_assignment([1, 2, 1])

@@ -40,6 +40,23 @@ def test_exchange_moves_match_oracle():
         assert ours == reference
 
 
+def test_exchange_enumeration_never_calls_the_engine_search(monkeypatch):
+    """``--validate`` checks the engine against ``enumerate_exchange_moves``:
+    with the engine's component search broken, it still finds every move."""
+    def engine_search(graph, mask, side):
+        raise AssertionError("the reference called the engine's component search")
+
+    monkeypatch.setattr(Graph, "component_masks", engine_search)
+    rng = random.Random(41)
+    for _ in range(40):
+        graph, edges, coloring = random_pair(rng, n_max=14, p=rng.choice((0.2, 0.4)))
+        ours = {
+            (frozenset(bits(m.mask)), m.color_a, m.color_b, m.delta)
+            for m in enumerate_exchange_moves(coloring, graph)
+        }
+        assert ours == oracles.naive_exchange_moves(graph.n, edges, coloring.assignment)
+
+
 def test_linked_union_components_are_the_exchange_components():
     # Both classes are independent sets, so a vertex with no neighbor in the
     # other class is a singleton of their union: dropping every such vertex
@@ -55,8 +72,9 @@ def test_linked_union_components_are_the_exchange_components():
                 linked = sum(1 << v for v, c in enumerate(assignment)
                              if c in other and any(assignment[u] == other[c] for u in adj[v]))
                 union = coloring.class_masks[a - 1] | coloring.class_masks[b - 1]
-                expected = [m for m in graph.component_masks(union) if m & (m - 1)]
-                assert graph.component_masks(linked) == expected
+                expected = [m for m in graph.reference_components(union) if m & (m - 1)]
+                assert graph.reference_components(linked) == expected
+                assert graph.component_masks(linked, coloring.class_masks[a - 1]) == expected
 
 
 def test_exchange_move_counts_are_consistent():

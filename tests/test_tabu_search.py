@@ -186,7 +186,7 @@ def _searched_masks(monkeypatch) -> list[int]:
     searched = []
     search = Graph.component_masks
     monkeypatch.setattr(Graph, "component_masks",
-                        lambda graph, mask, side=0: searched.append(mask) or search(graph, mask, side))
+                        lambda graph, mask, side: searched.append(mask) or search(graph, mask, side))
     return searched
 
 
@@ -368,7 +368,7 @@ def test_validation_catches_a_wrong_memoized_component_list(myciel4):
         for b in range(a + 1, k + 1):
             linked = (masks[a - 1] & ~run.isolated[b - 1]) | (masks[b - 1] & ~run.isolated[a - 1])
             if linked:
-                run._components[linked] = myciel4.component_masks(linked) + [masks[a - 1]]
+                run._components[linked] = myciel4.reference_components(linked) + [masks[a - 1]]
     # the first selection builds every row; those of the pairs the move
     # leaves alone are checked after it
     with pytest.raises(AssertionError, match="pair cache out of sync"):

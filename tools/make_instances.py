@@ -12,8 +12,10 @@ a different vertex numbering):
 The remaining benchmark files are empirical graphs (book graphs, road
 distances, football games, fixed random instances); they cannot be derived
 and must be supplied by the user.  For the random DSJC rows, ``gnp`` builds
-seeded stand-ins in memory from the same model; it writes no file, and its
-graphs are not the distributed ones.  Run from the repository root:
+seeded stand-ins in memory from the same model, and ``planted`` does so for
+the flat rows from a planted-coloring model; ``rook`` builds the qg.order
+rows' graphs.  These three write no file, and the random graphs are not the
+distributed ones.  Run from the repository root:
 
     python tools/make_instances.py
 """
@@ -68,6 +70,29 @@ def gnp(n: int, p: float, seed: int) -> Graph:
     draw per pair u < v, pairs in ascending order."""
     draw = random.Random(seed).random
     return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if draw() < p])
+
+
+def rook(n: int) -> Graph:
+    """The rook graph K_n x K_n, the graph of the qg.order rows: vertex
+    r * n + c is the cell (r, c), joined to the later cells of its row and
+    of its column, in ascending order."""
+    edges = []
+    for u in range(n * n):
+        edges.extend((u, v) for v in range(u + 1, (u // n + 1) * n))
+        edges.extend((u, v) for v in range(u + n, n * n, n))
+    return Graph.from_edges(n * n, edges)
+
+
+def planted(n: int, k: int, p: float, seed: int) -> Graph:
+    """Planted k-colorable random graph (Turner 1988): vertex v is in hidden
+    class v % k, and one ``random.Random(seed).random() < p`` draw per pair
+    u < v in different hidden classes, pairs in ascending order, decides
+    its edge.  It stands in for the flat rows such as ``flat300_20_0``
+    (n = 300, m = 21375, best sum 3150); it is not Culberson & Luo's
+    degree-flattened construction."""
+    draw = random.Random(seed).random
+    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                if u % k != v % k and draw() < p])
 
 
 # (file stem, builder, expected n, expected m)
