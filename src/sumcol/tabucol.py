@@ -5,6 +5,14 @@ few classes.  This module provides the classical recipe: a greedy bound,
 then tabu search over improper k-colorings (minimizing the number of
 conflicting edges) at decreasing k until the budget stops certifying
 feasibility, then repeated runs at the smallest reached k to fill the pool.
+The descent is warm, as in the fixed-k strategy of Galinier & Hertz (2006):
+the first attempt at k starts from the last (k + 1)-coloring found, greedy's
+at first, with its smallest class dissolved and each freed vertex placed in
+the class holding the fewest of its neighbors.  Such a start is one class
+away from a k-coloring, where a uniform one is far from any.  The later
+restarts and the pool's fill start from uniform random assignments.  When
+greedy's k is already the smallest reached, a cold call at that k still
+gives a seed-dependent coloring in place of greedy's own.
 The graph's greedy clique (``Graph.clique_size``) is the lower bound: a k
 below it is refused without an attempt, so a descent that reaches it (the
 chromatic number equals the clique number) ends at once.  The pool stops
@@ -35,7 +43,8 @@ import random
 from bisect import bisect_left, insort
 
 from .coloring import Coloring, canonical_relabel
-from .graph import Graph
+from .graph import Graph, bits
+from .tabu_search import uniform_min
 
 # An attempt fails after this many iterations without a new best conflict count.
 _IDLE_LIMIT = 10_000
@@ -83,7 +92,8 @@ def greedy_coloring(graph: Graph) -> Coloring:
     return Coloring.from_assignment(colors)
 
 
-def tabucol(graph: Graph, k: int, params: TabucolParams, rng: random.Random) -> Coloring | None:
+def tabucol(graph: Graph, k: int, params: TabucolParams, rng: random.Random,
+            warm: Coloring | None = None) -> Coloring | None:
     """Search for a proper k-coloring; None if none found within budget.
 
     A k below ``graph.clique_size``, the size of a clique the graph grows
@@ -96,25 +106,57 @@ def tabucol(graph: Graph, k: int, params: TabucolParams, rng: random.Random) -> 
     Moves recolor one endpoint of a conflicting edge; the best (fewest
     resulting conflicts) non-tabu move is taken, ties uniformly at random,
     and a tabu move is allowed when it beats the attempt's best.
+
+    ``warm``, a proper (k + 1)-coloring, gives the first attempt its start:
+    ``warm`` with its smallest class dissolved (``_dissolve_smallest_class``),
+    built only after both checks on k pass, so a refused k draws nothing.
+    The later attempts start uniformly, as every attempt does without it.
     """
     n = graph.n
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
     if k < graph.clique_size:
         return None
+    start = None if warm is None else _dissolve_smallest_class(graph, warm, rng)
     for _ in range(params.restarts):
-        sol = _tabucol_attempt(graph, k, params, rng)
+        sol = _tabucol_attempt(graph, k, params, rng, start)
         if sol is not None:
             return sol
+        start = None
     return None
 
 
-def _tabucol_attempt(graph: Graph, k: int, params: TabucolParams, rng: random.Random) -> Coloring | None:
+def _dissolve_smallest_class(graph: Graph, coloring: Coloring, rng: random.Random) -> list[int]:
+    """A start for a (k - 1)-coloring attempt from a k-coloring, as 0-based
+    colors: the class with the fewest members (the lowest label on ties) is
+    dissolved and the others keep their order, renumbered without gaps.
+    The freed vertices are placed in ascending order, each in the class
+    holding the fewest of its placed neighbors (the kept vertices and the
+    freed ones placed before it), ties broken by ``uniform_min``.
+    """
+    masks = coloring.class_masks
+    gone = min(range(len(masks)), key=lambda c: masks[c].bit_count())
+    kept = masks[:gone] + masks[gone + 1:]
+    colors = [0] * graph.n
+    for c, mask in enumerate(kept):
+        for v in bits(mask):
+            colors[v] = c
+    adj_masks = graph.adj_masks
+    for v in bits(masks[gone]):
+        adj = adj_masks[v]
+        c = uniform_min((((adj & mask).bit_count(), c) for c, mask in enumerate(kept)), rng)
+        kept[c] |= 1 << v
+        colors[v] = c
+    return colors
+
+
+def _tabucol_attempt(graph: Graph, k: int, params: TabucolParams, rng: random.Random,
+                     start: list[int] | None = None) -> Coloring | None:
     # Colors are 0-based here and 1-based only in the returned Coloring.
     n = graph.n
     adj_lists = graph.adj_lists
     adj_masks = graph.adj_masks
-    colors = [rng.randrange(k) for _ in range(n)]
+    colors = [rng.randrange(k) for _ in range(n)] if start is None else start
     # counts[v][c]: neighbors of v currently colored c; class_masks[c]: the vertices colored c
     counts = [[0] * k for _ in range(n)]
     class_masks = [0] * k
@@ -209,15 +251,23 @@ def _tabucol_attempt(graph: Graph, k: int, params: TabucolParams, rng: random.Ra
 
 def initial_coloring(graph: Graph, params: TabucolParams, rng: random.Random) -> Coloring:
     """One proper coloring at the smallest k the budget reaches: greedy
-    bound, then tabucol at decreasing k; the last success wins."""
-    best = greedy_coloring(graph)
-    k = best.k
+    bound, then tabucol at decreasing k, each call warm from the last
+    success; the last success wins.  The descent starts at greedy's k - 1,
+    warm from greedy's coloring, since greedy already colors with its own k,
+    and it ends at the first failure, which is at latest the first k below
+    the clique size, refused without a draw.  When that first step fails,
+    greedy's k is the smallest reached, and a cold tabucol call at it gives
+    the result: a seed-dependent coloring rather than greedy's own."""
+    greedy = best = greedy_coloring(graph)
+    k = best.k - 1
     while k >= 1:
-        sol = tabucol(graph, k, params, rng)
+        sol = tabucol(graph, k, params, rng, best)
         if sol is None:
             break
         best = sol
         k -= 1
+    if best is greedy and greedy.k >= 1:
+        best = tabucol(graph, greedy.k, params, rng) or greedy
     return canonical_relabel(best)
 
 

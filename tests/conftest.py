@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -8,10 +9,19 @@ from sumcol import Graph, load_dimacs
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
 MANIFEST_PATH = INSTANCE_DIR / "manifest.txt"
+GENERATOR_PATH = INSTANCE_DIR.parent / "tools" / "make_instances.py"
 
 
 def instance_path(name: str) -> Path:
     return INSTANCE_DIR / f"{name}.col"
+
+
+def load_generator():
+    """``tools/make_instances.py``, the instance generator, as a module."""
+    spec = importlib.util.spec_from_file_location("make_instances", GENERATOR_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def require_instance(name: str) -> Graph:

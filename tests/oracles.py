@@ -161,18 +161,19 @@ def brute_force_clique_number(n: int, edges) -> int:
 
 
 def tabucol_attempt(n: int, edges, k: int, budget: int, tenure_base: int, tenure_slope: float,
-                    rng, idle_limit: int = 10_000):
+                    rng, idle_limit: int = 10_000, start=None):
     """One TABUCOL attempt as Hertz & de Werra state it, recounting
     everything from the edge list at every iteration: uniform initial colors
-    1..k; each iteration scores every recoloring of every conflicting vertex,
-    vertices in order and colors in order, drops the tabu ones that do not
-    beat the best conflict count, and lets ``uniform_min`` pick among the
-    rest; the move's old color is tabu for ``int(slope * conflicts) +
-    uniform{0..base}`` iterations.  Stops at zero conflicts, at the budget,
-    or ``idle_limit`` iterations after the last new best.  Returns the
-    proper assignment (else None) and the delta of each move made."""
+    1..k, or the 1-based colors ``start`` when given; each iteration scores
+    every recoloring of every conflicting vertex, vertices in order and
+    colors in order, drops the tabu ones that do not beat the best conflict
+    count, and lets ``uniform_min`` pick among the rest; the move's old
+    color is tabu for ``int(slope * conflicts) + uniform{0..base}``
+    iterations.  Stops at zero conflicts, at the budget, or ``idle_limit``
+    iterations after the last new best.  Returns the proper assignment
+    (else None) and the delta of each move made."""
     adj = adjacency_sets(n, edges)
-    colors = [rng.randrange(k) + 1 for _ in range(n)]
+    colors = [rng.randrange(k) + 1 for _ in range(n)] if start is None else list(start)
 
     def conflicts():
         return sum(colors[u] == colors[v] for u, v in edges)

@@ -49,9 +49,11 @@ SPARSE_GOLDEN_PATH = ROOT / "golden" / "myciel7.json"
 SPARSE_INSTANCE_PATH = ROOT.parent / "instances" / "myciel7.col"
 SPARSE_CASES = ("dnts", "ts-n2")
 DESCENT_CASES = {
-    # k = 9, 8 and 7 succeed, then both restarts at k = 6 exhaust their budget
+    # from greedy's k = 9, warm attempts reach 8 and 7, then the warm and the
+    # fresh attempt at k = 6 exhaust their budget
     "queen6_6": TabucolParams(iteration_budget=3000, restarts=2),
-    # k = 5 succeeds, then all three restarts at k = 4 end by the idle stop
+    # greedy's k = 5 is optimal: the warm attempt and both fresh ones at
+    # k = 4 end by the idle stop, then a fresh attempt at k = 5 succeeds
     "myciel4": TabucolParams(),
 }
 

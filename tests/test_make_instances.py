@@ -2,7 +2,6 @@
 and its seeded random graphs are pinned."""
 
 import hashlib
-import importlib.util
 from pathlib import Path
 
 import pytest
@@ -11,17 +10,7 @@ from sumcol import Coloring, is_proper
 from sumcol.bench import load_manifest
 from sumcol.graph import to_dimacs
 
-from conftest import INSTANCE_DIR, MANIFEST_PATH
-
-GENERATOR_PATH = Path(__file__).resolve().parent.parent / "tools" / "make_instances.py"
-
-
-def load_generator():
-    spec = importlib.util.spec_from_file_location("make_instances", GENERATOR_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
+from conftest import INSTANCE_DIR, MANIFEST_PATH, load_generator
 
 GENERATOR = load_generator()
 

@@ -6,7 +6,7 @@ import pytest
 
 import sumcol.graph as graph_module
 import sumcol.tabucol as tabucol_module
-from sumcol import Graph, TabucolParams, is_proper
+from sumcol import Coloring, Graph, TabucolParams, is_proper
 from sumcol.bench import load_instance, load_manifest
 from sumcol.coloring import canonical_relabel
 from sumcol.graph import greedy_clique
@@ -14,7 +14,7 @@ from sumcol.tabu_search import uniform_min
 from sumcol.tabucol import generate_population, greedy_coloring, initial_coloring, tabucol
 
 import oracles
-from conftest import MANIFEST_PATH, require_instance
+from conftest import MANIFEST_PATH, load_generator, require_instance
 
 
 def complete_graph(n):
@@ -185,6 +185,82 @@ def test_tabucol_attempt_matches_the_plain_oracle(myciel3):
         assert expected is None and deltas
 
 
+def test_warm_tabucol_attempt_matches_the_plain_oracle():
+    """Warm first attempts against ``oracles.tabucol_attempt`` from the same
+    start: ``tabucol`` with ``warm`` and one restart must make the draws of
+    the smallest class's dissolution, then those of the oracle's attempt
+    from the dissolved coloring, and return what the oracle returns.  Each
+    warm coloring is a random proper (k + 1)-coloring."""
+    rng = random.Random(26)
+    found = failed = placement_draws = replayed = 0
+    case = 0
+    while replayed < 300:
+        case += 1
+        n = rng.randint(2, 40)
+        edges = oracles.random_gnp(n, rng.choice((0.05, 0.1, 0.2, 0.35, 0.5, 0.8)), rng)
+        graph = Graph.from_edges(n, edges)
+        warm = Coloring.from_assignment(oracles.random_proper_assignment(n, edges, rng))
+        k = warm.k - 1
+        if k < max(1, graph.clique_size):
+            continue
+        budget = round(5000 ** rng.random())
+        params = TabucolParams(iteration_budget=budget, restarts=1)
+        ours, reference = random.Random(case), random.Random(case)
+        before = reference.getstate()
+        start = tabucol_module._dissolve_smallest_class(graph, warm, reference)
+        placement_draws += reference.getstate() != before
+        expected, _ = oracles.tabucol_attempt(n, edges, k, budget, params.tenure_base, params.tenure_slope,
+                                              reference, start=[c + 1 for c in start])
+        result = tabucol(graph, k, params, ours, warm)
+        assert (result.assignment if result else None) == expected
+        assert ours.getstate() == reference.getstate()
+        replayed += 1
+        found += expected is not None
+        failed += expected is None
+    assert min(found, failed, placement_draws) >= 30, (found, failed, placement_draws)
+
+
+def test_dissolve_smallest_class_rule():
+    """The class with the fewest members goes, the lowest label among the
+    tied smallest; the others keep their order, renumbered from 0; each
+    freed vertex, ascending, joins the class holding the fewest of its
+    neighbors, with no draw for a unique minimum and one ``randrange`` over
+    the tied classes, ascending, for a tie."""
+    # classes 1: {0, 1, 2}, 2: {3, 4}, 3: {5, 6}, 4: {7, 8}; class 2 goes
+    warm = Coloring.from_assignment([1, 1, 1, 2, 2, 3, 3, 4, 4])
+    # vertex 3 has 2, 1 and 2 neighbors in the kept classes 0, 1 and 2
+    edges = [(3, 0), (3, 1), (3, 5), (3, 7), (3, 8), (4, 0), (4, 5), (4, 6), (4, 7)]
+    # vertex 4 has 1, 2 and 2: a unique minimum
+    unique = Graph.from_edges(9, edges + [(4, 8)])
+    rng = random.Random(1)
+    state = rng.getstate()
+    assert tabucol_module._dissolve_smallest_class(unique, warm, rng) == [0, 0, 0, 1, 0, 1, 1, 2, 2]
+    assert rng.getstate() == state
+    # vertex 4 has 1, 2 and 1: kept classes 0 and 2 tie
+    tied = Graph.from_edges(9, edges)
+    placed = set()
+    for seed in range(8):
+        ours, reference = random.Random(seed), random.Random(seed)
+        expected = (0, 2)[reference.randrange(2)]
+        assert tabucol_module._dissolve_smallest_class(tied, warm, ours) == [0, 0, 0, 1, expected, 1, 1, 2, 2]
+        assert ours.getstate() == reference.getstate()
+        placed.add(expected)
+    assert placed == {0, 2}
+
+
+def test_warm_tabucol_draws_nothing_without_freed_vertices_or_below_the_clique():
+    rng = random.Random(1)
+    state = rng.getstate()
+    # the empty class 2 is the smallest: the dissolved start is proper already
+    path = Graph.from_edges(3, [(0, 1), (1, 2)])
+    warm = Coloring.from_assignment([1, 3, 1], k=3)
+    assert tabucol(path, 2, TabucolParams(), rng, warm).assignment == [1, 2, 1]
+    assert rng.getstate() == state
+    # K3 at k = 2 is refused before the dissolution, which would draw a tie
+    assert tabucol(complete_graph(3), 2, TabucolParams(), rng, Coloring.from_assignment([1, 2, 3])) is None
+    assert rng.getstate() == state
+
+
 class _CountingRandom(random.Random):
     """Counts ``randint`` calls, one per TABUCOL move (its tabu tenure), and
     fails the test instead of letting a search that never stops hang it."""
@@ -241,6 +317,34 @@ def test_initial_coloring_is_proper_and_canonical(myciel3):
     c = initial_coloring(myciel3, TabucolParams(), random.Random(9))
     assert is_proper(c, myciel3)
     assert c.assignment == canonical_relabel(c).assignment
+
+
+@pytest.mark.parametrize("name, omega", [("rook30", 30), ("queen7_7", 7), ("queen8_12", 12)])
+def test_initial_coloring_reaches_the_clique_number(name, omega):
+    """On graphs whose chromatic number is their clique number, the warm
+    descent reaches it: K30 x K30, built in memory, and two queen graphs."""
+    graph = load_generator().rook(30) if name == "rook30" else require_instance(name)
+    assert graph.clique_size == omega
+    for seed in (1, 2, 3):
+        coloring = initial_coloring(graph, TabucolParams(), random.Random(seed))
+        assert coloring.k == omega and is_proper(coloring, graph)
+
+
+def test_initial_coloring_is_a_fresh_tabucol_coloring_when_greedy_is_optimal(myciel3):
+    """Greedy's k = 4 is myciel3's chromatic number, so the warm step at
+    k = 3 fails and a fresh tabucol call at k = 4 gives the result: a
+    seed-dependent coloring, not greedy's own."""
+    greedy = greedy_coloring(myciel3)
+    assert greedy.k == 4
+    found = set()
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        assert tabucol(myciel3, 3, TabucolParams(), rng, greedy) is None
+        expected = canonical_relabel(tabucol(myciel3, 4, TabucolParams(), rng))
+        coloring = initial_coloring(myciel3, TabucolParams(), random.Random(seed))
+        assert coloring.assignment == expected.assignment
+        found.add(tuple(coloring.assignment))
+    assert len(found) == 3 and tuple(canonical_relabel(greedy).assignment) not in found
 
 
 def test_generate_population_distinct_and_proper(myciel3):
