@@ -13,10 +13,11 @@ clique-partition bound on the color sum (``Graph.sum_bound``).  Graphs are
 immutable.
 
 Two methods find the connected components of an induced subgraph, one per
-caller: ``Graph.component_masks``, the tabu search's, walks only the smaller
-side of a two-color-class union, and ``Graph.reference_components``, the one
-``--validate`` checks it against, searches any vertex set breadth first over
-``adj_masks`` alone.
+caller: ``Graph.component_masks``, the tabu search's, takes only the linked
+part of a two-color-class union (the vertices with a neighbor in the other
+class) and walks only its smaller side, and ``Graph.reference_components``,
+the one ``--validate`` checks it against, searches any vertex set breadth
+first over ``adj_masks`` alone.
 
 Every input file, a graph, a coloring or a manifest, is read by
 ``read_input``: it decodes the file (ASCII with undecodable bytes replaced,
@@ -177,16 +178,19 @@ class Graph:
 
     def component_masks(self, subset_mask: int, side: int) -> list[int]:
         """Connected components of the subgraph induced by the vertices set
-        in ``subset_mask``, each returned as a bitmask, singletons included,
-        ordered by smallest member vertex: the tabu search's component search.
+        in ``subset_mask``, each returned as a bitmask, ordered by smallest
+        member vertex: the tabu search's component search.
 
-        Precondition: ``subset_mask & side`` and ``subset_mask & ~side`` are
-        both independent sets, as they are when ``subset_mask`` lies in the
-        union of two color classes and ``side`` is one of them.  Every edge
-        then crosses between the two parts, so the search walks only the
-        smaller part: each of its vertices joins its neighbors in the other
-        part, and merges the components that already hold one of them.
-        Without the precondition the result may be wrong;
+        Two preconditions.  First, ``subset_mask & side`` and
+        ``subset_mask & ~side`` are both independent sets, as they are when
+        ``subset_mask`` lies in the union of two color classes and ``side``
+        is one of them.  Every edge then crosses between the two parts, so
+        the search walks only the smaller part: each of its vertices joins
+        its neighbors in the other part, and merges the components that
+        already hold one of them.  Second, every vertex of the subset has a
+        neighbor in it on the other side, as every vertex of a class pair's
+        linked set does, so the walk reaches every vertex and no component
+        is a singleton.  Without them the result may be wrong;
         ``reference_components`` has none.
         """
         adj = self.adj_masks
@@ -194,14 +198,11 @@ class Graph:
         other = subset_mask ^ small
         if small.bit_count() > other.bit_count():
             small, other = other, small
-        # vertices of the larger part no component has reached yet
-        rest = other
         comps = []
         while small:
             low = small & -small
             small ^= low
             comp = (adj[low.bit_length() - 1] & other) | low
-            rest &= ~comp
             apart = []
             for c in comps:
                 if c & comp:
@@ -210,15 +211,12 @@ class Graph:
                     apart.append(c)
             apart.append(comp)
             comps = apart
-        while rest:
-            low = rest & -rest
-            comps.append(low)
-            rest ^= low
         comps.sort(key=lambda c: c & -c)
         return comps
 
     def reference_components(self, subset_mask: int) -> list[int]:
-        """The list ``component_masks`` returns, for any vertex set: the
+        """Connected components of the subgraph induced by any vertex set,
+        singletons included, ordered by smallest member vertex: the
         reference search that ``--validate`` checks the engine against.
 
         It grows each component breadth first, ORing the ``adj_masks`` of

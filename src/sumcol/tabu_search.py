@@ -268,8 +268,10 @@ class TabuSearchRun:
     only for pairs whose classes differ from the row's.  A recomputation
     searches only the linked part of the pair's union (the vertices with a
     neighbor in the other class): both classes are independent sets, so
-    every other vertex is a singleton component, which is never a move, and
-    the search walks only the smaller class's side of the set.
+    every other vertex is a singleton component, which is never a move.
+    ``Graph.component_masks`` takes only such linked sets and walks only
+    the smaller class's side of one; it never looks for singletons, since
+    every vertex of a linked set has a neighbor across, also linked.
 
     The component lists are also remembered per call in ``_components``,
     keyed by the linked vertex set searched, because a tabu search keeps

@@ -113,6 +113,14 @@ def test_equality_and_hash_follow_assignment():
     assert a != Coloring.from_assignment([2, 1, 2])
 
 
+def test_a_coloring_is_unequal_to_another_type_and_shows_its_size():
+    c = Coloring.from_assignment([1, 2, 1, 3])
+    assert c.__eq__([1, 2, 1, 3]) is NotImplemented
+    assert c != [1, 2, 1, 3]
+    assert not c == c.assignment
+    assert repr(c) == "Coloring(n=4, k=3, sum=7)"
+
+
 def test_canonical_relabel_known_case():
     # class {1,3} is larger than {0} and {2}; {0} precedes {2} by member
     c = canonical_relabel(Coloring.from_assignment([2, 1, 3, 1]))

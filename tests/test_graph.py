@@ -120,10 +120,11 @@ def test_components_ordered_by_smallest_member():
 
 
 def test_side_search_matches_plain_search_and_union_find():
-    """With one class of a proper coloring as the side, the search from the
-    smaller side returns the reference search's list, and both agree with
-    union-find: on every class pair's whole union (whose isolated vertices
-    are singletons), on its linked part, and on a single class."""
+    """The reference search agrees with union-find on every class pair's
+    whole union (whose isolated vertices are singletons) and on its linked
+    part, and on a single class.  On the linked part, the only sets it
+    takes, the search from the smaller side with one class of the proper
+    coloring as the side returns the reference search's list."""
     rng = random.Random(37)
     for _ in range(60):
         n = rng.randint(1, 24)
@@ -145,23 +146,23 @@ def test_side_search_matches_plain_search_and_union_find():
                     plain = g.reference_components(subset)
                     reference = oracles.union_find_components(n, edges, list(bits(subset)))
                     assert {frozenset(bits(c)) for c in plain} == set(reference)
-                    # only the side's bits inside the subset count
-                    outside = rng.getrandbits(n) & ~subset
-                    for side in (mask_a, mask_b, mask_a | outside):
-                        if subset & side:
-                            assert g.component_masks(subset, side) == plain
+                # ``plain`` is the linked part's list; only the side's bits inside it count
+                outside = rng.getrandbits(n) & ~linked
+                for side in (mask_a, mask_b, mask_a | outside):
+                    if linked & side:
+                        assert g.component_masks(linked, side) == plain
 
 
 def test_side_search_merges_components_through_shared_neighbors():
-    # the path 0-1-2-3-4-5 and the isolated 6, classes {0, 2, 4, 6} and {1, 3, 5}
-    g = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
-    evens, odds = 0b1010101, 0b0101010
-    whole = [0b0111111, 0b1000000]
+    # the path 0-1-2-3-4-5, classes {0, 2, 4} and {1, 3, 5}
+    g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
+    evens, odds = 0b010101, 0b101010
+    whole = [0b111111]
     assert g.reference_components(evens | odds) == whole
     assert g.component_masks(evens | odds, evens) == whole
     assert g.component_masks(evens | odds, odds) == whole
-    # without 1 and 5: {0}, {2, 3, 4} and {6}
-    assert g.component_masks(0b1011101, odds) == [0b1, 0b11100, 0b1000000]
+    # without 2 and 3: {0, 1} and {4, 5}
+    assert g.component_masks(0b110011, odds) == [0b11, 0b110000]
 
 
 @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 64, 191])

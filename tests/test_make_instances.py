@@ -2,6 +2,7 @@
 and its seeded random graphs are pinned."""
 
 import hashlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,15 @@ from sumcol.graph import to_dimacs
 from conftest import INSTANCE_DIR, MANIFEST_PATH, load_generator
 
 GENERATOR = load_generator()
+
+
+def test_loading_the_generator_leaves_sys_path_unchanged():
+    """Only a script run puts the tool's tree first on ``sys.path``, so a
+    program that loads the tool and then ``sumcol`` gets the ``sumcol`` it
+    would get without the tool."""
+    before = list(sys.path)
+    load_generator()
+    assert sys.path == before
 
 
 @pytest.mark.parametrize("stem, build, n, m", GENERATOR.FAMILIES, ids=[f[0] for f in GENERATOR.FAMILIES])

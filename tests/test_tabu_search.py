@@ -3,7 +3,9 @@ import random
 import pytest
 
 from sumcol import Coloring, Graph, TabucolParams, TabuSearchParams, is_proper
+import sumcol.tabu_search as tabu_search_module
 from sumcol.coloring import canonical_relabel
+from sumcol.graph import bits
 from sumcol.tabu_search import (
     _COMPONENT_MEMO_SIZE,
     EXCHANGE,
@@ -14,6 +16,7 @@ from sumcol.tabu_search import (
     _pair_exchanges,
     enumerate_exchange_moves,
     enumerate_relocate_moves,
+    perturb,
     select_move,
     tabu_search,
 )
@@ -181,12 +184,13 @@ def test_validation_catches_a_corrupted_class_mask(myciel3, corrupt, message):
         run._check_state()
 
 
-def _searched_masks(monkeypatch) -> list[int]:
-    """Record every linked set handed to ``Graph.component_masks``."""
+def _searched_masks(monkeypatch) -> list[tuple[int, int]]:
+    """Record the linked set and the side of every call to
+    ``Graph.component_masks``."""
     searched = []
     search = Graph.component_masks
     monkeypatch.setattr(Graph, "component_masks",
-                        lambda graph, mask, side: searched.append(mask) or search(graph, mask, side))
+                        lambda graph, mask, side: searched.append((mask, side)) or search(graph, mask, side))
     return searched
 
 
@@ -217,7 +221,7 @@ def test_no_linked_set_is_searched_twice_below_the_memo_size(monkeypatch):
     searched = _searched_masks(monkeypatch)
     tabu_search(start, queen8_8, small_params(iteration_budget=300), rng, neighborhoods=(EXCHANGE,))
     assert 0 < len(searched) < _COMPONENT_MEMO_SIZE
-    assert len(set(searched)) == len(searched)
+    assert len({mask for mask, _ in searched}) == len(searched)
 
 
 def test_component_memo_stays_within_its_size(monkeypatch):
@@ -237,6 +241,42 @@ def test_component_memo_stays_within_its_size(monkeypatch):
     # more searches than the memo holds, so it has filled at least once
     assert len(searched) > _COMPONENT_MEMO_SIZE
     assert 0 < max(sizes) <= _COMPONENT_MEMO_SIZE
+
+
+def _random_start(rng):
+    n = rng.randint(6, 20)
+    edges = oracles.random_gnp(n, rng.choice((0.2, 0.4)), rng)
+    graph = Graph.from_edges(n, edges)
+    return graph, Coloring.from_assignment(oracles.random_proper_assignment(n, edges, rng))
+
+
+@pytest.mark.parametrize("neighborhoods", [(EXCHANGE, RELOCATE), (EXCHANGE,)], ids=["both", "exchange"])
+def test_every_searched_set_is_linked_across_its_side(neighborhoods, monkeypatch):
+    """``Graph.component_masks`` is handed only sets in which the side
+    splits off an independent set from an independent set, and every
+    vertex has a neighbor in the set on the other side: on random graphs,
+    myciel7 and queen8_8, with perturbations."""
+    searched = _searched_masks(monkeypatch)
+    perturbed = []
+    monkeypatch.setattr(tabu_search_module, "perturb",
+                        lambda *args: perturbed.append(1) or perturb(*args))
+    params = small_params(iteration_budget=600, exchange_idle_limit=30,
+                          relocate_idle_limit=60, stall_limit=100)
+    rng = random.Random(21)
+    starts = [_random_start(rng) for _ in range(8)]
+    for name in ("myciel7", "queen8_8"):
+        graph = require_instance(name)
+        starts.append((graph, initial_coloring(graph, TabucolParams(), rng)))
+    for graph, start in starts:
+        searched.clear()
+        tabu_search(start, graph, params, rng, neighborhoods=neighborhoods)
+        for mask, side in searched:
+            for v in bits(mask):
+                same = side if side >> v & 1 else ~side
+                assert not graph.adj_masks[v] & mask & same
+                assert graph.adj_masks[v] & mask & ~same
+        assert searched or start.sum == graph.sum_bound
+    assert perturbed
 
 
 def _live_rows(run):

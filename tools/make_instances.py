@@ -24,7 +24,9 @@ import os
 import random
 import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+if __name__ == "__main__":
+    # a script run imports this tree's package; loading the tool leaves sys.path alone
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from sumcol.graph import Graph, to_dimacs  # noqa: E402
 
