@@ -20,14 +20,16 @@ the one ``--validate`` checks it against, searches any vertex set breadth
 first over ``adj_masks`` alone.
 
 Every input file, a graph, a coloring or a manifest, is read by
-``read_input``: it decodes the file (ASCII with undecodable bytes replaced,
-or strict UTF-8 for a manifest), runs the format's parser and names the
-file in front of any ``InputError``.  The parsers cut their text into
-numbered lines with ``data_lines`` and convert fields with ``ints``.
+``read_input``: it drops a leading UTF-8 byte-order mark, decodes the file
+(ASCII with undecodable bytes replaced, or strict UTF-8 for a manifest),
+runs the format's parser and names the file in front of any
+``InputError``.  The parsers cut their text into numbered lines with
+``data_lines`` and convert fields with ``ints``.
 """
 
 from __future__ import annotations
 
+import codecs
 from typing import Callable, Iterable, Iterator, TypeVar
 
 _T = TypeVar("_T")
@@ -48,12 +50,14 @@ def read_input(path: str, parse: Callable[..., _T], *args: object,
                encoding: str = "ascii", errors: str = "replace") -> _T:
     """``parse(text, *args)`` of the file at ``path`` decoded in ``encoding``.
 
+    A leading UTF-8 byte-order mark is dropped before decoding, in every
+    format, so it is neither part of the first line nor refused in it.
     An InputError raised by the parser gets ``path`` in front of its
     message; so does a byte that ``encoding`` cannot decode (possible only
     with ``errors="strict"``), refused as an InputError on that byte's line.
     """
     with open(path, "rb") as handle:
-        data = handle.read()
+        data = handle.read().removeprefix(codecs.BOM_UTF8)
     try:
         try:
             text = data.decode(encoding, errors)

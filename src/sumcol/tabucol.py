@@ -20,11 +20,15 @@ filling as soon as a member's sum meets the graph's clique-partition bound
 (``Graph.sum_bound``), since that member is already optimal: every
 7-coloring of queen7.7, say, has the optimal sum 196.
 
-An attempt also gives up after ``_IDLE_LIMIT`` (10,000) iterations without
-a new fewest-conflicts count: the ``nbmax`` stopping rule of the original
-TABUCOL (Hertz & de Werra 1987).  A failing attempt reaches its final
-conflict count early and only wanders after it, so the rule mostly cuts
-the last, infeasible k of the descent.
+A recolored vertex may not return to its old class for
+``int(_TENURE_SLOPE * conflicts) + uniform{0.._TENURE_BASE}`` iterations
+(0.6 × conflicts plus a draw from 0..9), with ``conflicts`` the
+conflicting-edge count after the move: the tenure rule of Galinier & Hao
+(1999).  An attempt also gives up after ``_IDLE_LIMIT`` (10,000) iterations
+without a new fewest-conflicts count: the ``nbmax`` stopping rule of the
+original TABUCOL (Hertz & de Werra 1987).  A failing attempt reaches its
+final conflict count early and only wanders after it, so the rule mostly
+cuts the last, infeasible k of the descent.
 
 Each iteration of an attempt walks only its conflicting vertices, the only
 ones a move may recolor.  It keeps them in an ascending list, exact move by
@@ -38,7 +42,6 @@ the same draws as one that scans every vertex.
 
 from __future__ import annotations
 
-import math
 import random
 from bisect import bisect_left, insort
 
@@ -48,30 +51,27 @@ from .tabu_search import uniform_min
 
 # An attempt fails after this many iterations without a new best conflict count.
 _IDLE_LIMIT = 10_000
+# A move's old class is tabu for int(_TENURE_SLOPE * conflicts) + uniform{0.._TENURE_BASE} iterations.
+_TENURE_BASE = 9
+_TENURE_SLOPE = 0.6
 
 
 class TabucolParams:
     """Knobs for one feasibility attempt at fixed k.
 
-    A recolored vertex may not return to its old class for
-    ``tenure_slope * conflicts + uniform{0..tenure_base}`` iterations, with
-    ``conflicts`` the conflicting-edge count after the move.  An attempt
-    ends after ``iteration_budget`` iterations, or after 10,000 iterations
-    without a new best conflict count (Hertz & de Werra's ``nbmax`` rule),
-    whichever comes first; a budget above 10,000 therefore caps only
-    attempts that keep improving.
+    An attempt ends after ``iteration_budget`` iterations, or after 10,000
+    iterations without a new best conflict count (Hertz & de Werra's
+    ``nbmax`` rule), whichever comes first; a budget above 10,000 therefore
+    caps only attempts that keep improving.  The idle stop and the tabu
+    tenure (Galinier & Hao's 0.6 × conflicts + uniform{0..9}) are fixed
+    rules, not knobs.
     """
 
-    def __init__(self, iteration_budget: int = 100_000, restarts: int = 3,
-                 tenure_base: int = 9, tenure_slope: float = 0.6):
+    def __init__(self, iteration_budget: int = 100_000, restarts: int = 3):
         if iteration_budget < 1 or restarts < 1:
             raise ValueError("iteration_budget and restarts must be >= 1")
-        if tenure_base < 0 or not 0 <= tenure_slope < math.inf:
-            raise ValueError("tenure parameters must be finite and >= 0")
         self.iteration_budget = iteration_budget
         self.restarts = restarts
-        self.tenure_base = tenure_base
-        self.tenure_slope = tenure_slope
 
 
 def greedy_coloring(graph: Graph) -> Coloring:
@@ -175,8 +175,8 @@ def _tabucol_attempt(graph: Graph, k: int, params: TabucolParams, rng: random.Ra
     last_improvement = 0
     tabu_until = [[0] * k for _ in range(n)]
     others = [tuple(c for c in range(k) if c != own) for own in range(k)]
-    slope = params.tenure_slope
-    base = params.tenure_base
+    slope = _TENURE_SLOPE
+    base = _TENURE_BASE
     for it in range(1, params.iteration_budget + 1):
         # the (v, c) of the moves tied at chosen_delta, as uniform_min collects them
         tied = []

@@ -1,3 +1,4 @@
+import codecs
 import json
 import math
 import pickle
@@ -116,6 +117,18 @@ def test_load_manifest_names_the_line_of_an_undecodable_byte(tmp_path, newline):
         load_manifest(str(path))
     assert info.value.line_no == 3
     assert str(info.value) == f"{path}: line 3: byte 0xff is not valid utf-8"
+
+
+def test_load_manifest_drops_a_leading_byte_order_mark(tmp_path):
+    """A manifest saved with a UTF-8 byte-order mark names its first
+    instance without the mark, and a bad row keeps its line number."""
+    path = tmp_path / "manifest.txt"
+    path.write_bytes(codecs.BOM_UTF8 + b"myciel3 myciel3.col 11 20 21 exact 4\n")
+    assert [r.name for r in load_manifest(str(path))] == ["myciel3"]
+    path.write_bytes(codecs.BOM_UTF8 + b"# comment\nbad path.col 4 3 7 maybe 2\n")
+    with pytest.raises(InputError, match="exact") as info:
+        load_manifest(str(path))
+    assert info.value.line_no == 2
 
 
 def test_load_instance_checks_declared_sizes(tmp_path):
@@ -276,7 +289,7 @@ def test_what_workers_exchange_survives_pickling():
         population_size=4, max_generations=7, replace_second_worst_probability=0.5,
         tabu=TabuSearchParams(exchange_idle_limit=40, relocate_idle_limit=80,
                               stall_limit=45, iteration_budget=123),
-        init=TabucolParams(iteration_budget=20_000, restarts=2, tenure_base=5, tenure_slope=0.3),
+        init=TabucolParams(iteration_budget=20_000, restarts=2),
     )
     copy = pickle.loads(pickle.dumps(params))
     assert type(copy) is MemeticParams

@@ -30,7 +30,7 @@ def test_apply_param_overrides_reaches_every_section():
         ["population_size=4", "max_generations=7",
          "replace_second_worst_probability=0.5",
          "iteration_budget=123", "stall_limit=45",
-         "init_restarts=2", "init_tenure_slope=0.3"],
+         "init_restarts=2", "init_iteration_budget=321"],
     )
     assert params.population_size == 4
     assert params.max_generations == 7
@@ -38,7 +38,7 @@ def test_apply_param_overrides_reaches_every_section():
     assert params.tabu.iteration_budget == 123
     assert params.tabu.stall_limit == 45
     assert params.init.restarts == 2
-    assert params.init.tenure_slope == 0.3
+    assert params.init.iteration_budget == 321
 
 
 def test_apply_param_overrides_rejects_bad_input():
@@ -191,8 +191,6 @@ def test_param_keys_are_read_from_the_parameter_classes():
         "iteration_budget": ("tabu", "iteration_budget", int),
         "init_iteration_budget": ("init", "iteration_budget", int),
         "init_restarts": ("init", "restarts", int),
-        "init_tenure_base": ("init", "tenure_base", int),
-        "init_tenure_slope": ("init", "tenure_slope", float),
     }
 
 
@@ -202,13 +200,15 @@ def test_solve_rejects_target_outside_masc(capsys):
     assert err.startswith("error: ") and "target applies only to mode 'masc'" in err
 
 
-@pytest.mark.parametrize("slope", ["inf", "nan"])
-def test_solve_rejects_non_finite_tenure_slope(capsys, slope):
-    argv = ["solve", myciel3_path(), "--runs", "1", "--param", f"init_tenure_slope={slope}"]
+@pytest.mark.parametrize("pair", ["init_tenure_base=9", "init_tenure_slope=0.6"])
+def test_solve_rejects_the_fixed_tenure_keys(capsys, pair):
+    """TABUCOL's tenure is a fixed rule, not a key: even its own values are
+    refused, on one line and without a traceback."""
+    argv = ["solve", myciel3_path(), "--runs", "1", "--param", pair]
     assert main(argv) == 1
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert len(lines) == 1 and lines[0].startswith("error: unknown parameter ")
     assert "Traceback" not in captured.err
 
 

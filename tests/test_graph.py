@@ -1,3 +1,4 @@
+import codecs
 import random
 from itertools import combinations
 
@@ -5,7 +6,7 @@ import pytest
 
 import sumcol.graph as graph_module
 from sumcol import Graph
-from sumcol.graph import InputError, bits, clique_partition_bound, parse_dimacs, to_dimacs
+from sumcol.graph import InputError, bits, clique_partition_bound, load_dimacs, parse_dimacs, to_dimacs
 
 import oracles
 from conftest import require_instance
@@ -64,6 +65,20 @@ def test_parse_errors_carry_line_numbers(text, line_no):
         parse_dimacs(text)
     assert info.value.line_no == line_no
     assert f"line {line_no}" in str(info.value)
+
+
+def test_load_dimacs_drops_a_leading_byte_order_mark(tmp_path):
+    """A file saved with a UTF-8 byte-order mark loads the graph of the same
+    file without one, and a bad line keeps its number."""
+    plain, marked = tmp_path / "plain.col", tmp_path / "marked.col"
+    plain.write_bytes(SAMPLE.encode("ascii"))
+    marked.write_bytes(codecs.BOM_UTF8 + SAMPLE.encode("ascii"))
+    expected, loaded = load_dimacs(str(plain)), load_dimacs(str(marked))
+    assert (loaded.n, sorted(loaded.edges())) == (expected.n, sorted(expected.edges()))
+    marked.write_bytes(codecs.BOM_UTF8 + b"q 1 2\n")
+    with pytest.raises(InputError) as info:
+        load_dimacs(str(marked))
+    assert str(info.value) == f"{marked}: line 1: unrecognized line 'q 1 2'"
 
 
 def test_parse_requires_problem_line():

@@ -1,4 +1,3 @@
-import math
 import os
 import random
 
@@ -97,11 +96,12 @@ def test_tabucol_gives_up_below_chromatic_number():
     assert rng.getstate() != state
 
 
-def _reference_one_move_attempt(graph, k, params, rng):
+def _reference_one_move_attempt(graph, k, rng):
     """One TABUCOL iteration as specified: uniform initial colors, the
     ``uniform_min`` repair among the conflicting vertices' recolorings in
-    vertex then color order, then the tenure draw.  Returns the assignment
-    when it is proper (else None) and the number of repairs tied."""
+    vertex then color order, then the tenure draw over the published 0..9.
+    Returns the assignment when it is proper (else None) and the number of
+    repairs tied."""
     adj = graph.adj_lists
     colors = [rng.randrange(k) + 1 for _ in range(graph.n)]
 
@@ -120,7 +120,7 @@ def _reference_one_move_attempt(graph, k, params, rng):
         ties = sum(delta == least for delta, _ in repairs)
         v, c = uniform_min(repairs, rng)
         colors[v] = c
-        rng.randint(0, params.tenure_base)
+        rng.randint(0, 9)
     return (None if conflicts() else colors), ties
 
 
@@ -138,7 +138,7 @@ def test_tabucol_move_follows_uniform_min():
         if k > n:
             continue
         ours, reference = random.Random(case), random.Random(case)
-        expected, ties = _reference_one_move_attempt(graph, k, params, reference)
+        expected, ties = _reference_one_move_attempt(graph, k, reference)
         result = tabucol(graph, k, params, ours)
         assert (result.assignment if result else None) == expected
         assert ours.getstate() == reference.getstate()
@@ -151,8 +151,7 @@ def _same_attempt(graph, edges, k, budget, seed):
     same result and the same generator state, and returns the oracle's."""
     params = TabucolParams(iteration_budget=budget, restarts=1)
     ours, reference = random.Random(seed), random.Random(seed)
-    expected, deltas = oracles.tabucol_attempt(graph.n, edges, k, budget, params.tenure_base,
-                                               params.tenure_slope, reference)
+    expected, deltas = oracles.tabucol_attempt(graph.n, edges, k, budget, 9, 0.6, reference)
     result = tabucol_module._tabucol_attempt(graph, k, params, ours)
     assert (result.assignment if result else None) == expected
     assert ours.getstate() == reference.getstate()
@@ -209,8 +208,8 @@ def test_warm_tabucol_attempt_matches_the_plain_oracle():
         before = reference.getstate()
         start = tabucol_module._dissolve_smallest_class(graph, warm, reference)
         placement_draws += reference.getstate() != before
-        expected, _ = oracles.tabucol_attempt(n, edges, k, budget, params.tenure_base, params.tenure_slope,
-                                              reference, start=[c + 1 for c in start])
+        expected, _ = oracles.tabucol_attempt(n, edges, k, budget, 9, 0.6, reference,
+                                              start=[c + 1 for c in start])
         result = tabucol(graph, k, params, ours, warm)
         assert (result.assignment if result else None) == expected
         assert ours.getstate() == reference.getstate()
@@ -306,11 +305,6 @@ def test_tabucol_params_validation():
         TabucolParams(iteration_budget=0)
     with pytest.raises(ValueError):
         TabucolParams(restarts=0)
-    with pytest.raises(ValueError):
-        TabucolParams(tenure_base=-1)
-    for slope in (-0.1, math.inf, math.nan):
-        with pytest.raises(ValueError):
-            TabucolParams(tenure_slope=slope)
 
 
 def test_initial_coloring_is_proper_and_canonical(myciel3):
