@@ -28,7 +28,7 @@ from .tabu_search import TabuSearchParams
 from .tabucol import TabucolParams
 
 # --param keys and where each lands inside MemeticParams: (section, field,
-# cast).  Every number-valued attribute of a default-constructed parameter
+# cast).  Every int-valued attribute of a default-constructed parameter
 # class is a key, cast by its default's type; TABUCOL's keys carry the
 # prefix "init_".
 _PARAM_FIELDS = {
@@ -36,7 +36,7 @@ _PARAM_FIELDS = {
     for section, prefix, params in (("", "", MemeticParams), ("tabu", "", TabuSearchParams),
                                     ("init", "init_", TabucolParams))
     for name, default in vars(params()).items()
-    if isinstance(default, (int, float))
+    if isinstance(default, int)
 }
 
 

@@ -24,7 +24,8 @@ Every input file, a graph, a coloring or a manifest, is read by
 (ASCII with undecodable bytes replaced, or strict UTF-8 for a manifest),
 runs the format's parser and names the file in front of any
 ``InputError``.  The parsers cut their text into numbered lines with
-``data_lines`` and convert fields with ``ints``.
+``data_lines``, which ends a line only at ``\n``, ``\r\n`` or ``\r``, and
+convert fields with ``ints``.
 """
 
 from __future__ import annotations
@@ -62,22 +63,29 @@ def read_input(path: str, parse: Callable[..., _T], *args: object,
         try:
             text = data.decode(encoding, errors)
         except UnicodeDecodeError as exc:
-            # lines counted as data_lines counts them; "." stands in for the
-            # byte, so that the last line counted is the byte's own
-            before = data[:exc.start].decode(encoding) + "."
+            # the last line of the text before the byte is the byte's own
+            before = data[:exc.start].decode(encoding)
             raise InputError(f"byte 0x{data[exc.start]:02x} is not valid {encoding}",
-                             len(before.splitlines())) from None
+                             len(_split_lines(before))) from None
         return parse(text, *args)
     except InputError as exc:
         exc.args = (f"{path}: {exc}",)
         raise
 
 
+def _split_lines(text: str) -> list[str]:
+    """The lines of ``text``, ended only by ``\n``, ``\r\n`` or ``\r`` (as
+    an editor counts them; ``str.splitlines`` also breaks at form feeds,
+    vertical tabs, U+2028 and more).  A final line break ends one more,
+    empty line."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def data_lines(text: str, comment: str) -> Iterator[tuple[int, str, list[str]]]:
     """``(line_no, line, fields)`` for each line of ``text`` that is neither
     blank nor a comment (starts with ``comment`` once stripped); line numbers
     count from 1 and ``line`` is stripped."""
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(_split_lines(text), start=1):
         line = raw.strip()
         if line and not line.startswith(comment):
             yield line_no, line, line.split()

@@ -21,19 +21,24 @@ from .tabu_search import SearchStats, TabuSearchParams, tabu_search, uniform_min
 from .tabucol import TabucolParams, generate_population
 
 
+# The population update's fixed rule: an offspring scored worst of the pool
+# still enters with this probability, replacing the worst existing member.
+_SECOND_WORST_PROBABILITY = 0.2
+
+
 class MemeticParams:
+    """Population size, generation count, and the tabu search and TABUCOL
+    settings.  The population update has no settings: its crowding weight
+    and its worst-offspring probability are fixed (``update_population``)."""
+
     def __init__(self, population_size: int = 10, max_generations: int = 50,
-                 replace_second_worst_probability: float = 0.2,
                  tabu: TabuSearchParams | None = None, init: TabucolParams | None = None):
         if population_size < 2:
             raise ValueError("population_size must be >= 2")
         if max_generations < 1:
             raise ValueError("max_generations must be >= 1")
-        if not 0.0 <= replace_second_worst_probability <= 1.0:
-            raise ValueError("replace_second_worst_probability must be in [0, 1]")
         self.population_size = population_size
         self.max_generations = max_generations
-        self.replace_second_worst_probability = replace_second_worst_probability
         self.tabu = TabuSearchParams() if tabu is None else tabu
         self.init = TabucolParams() if init is None else init
 
@@ -98,13 +103,13 @@ def partition_crossover(parents: Sequence[Coloring], graph: Graph, rng: random.R
     return child
 
 
-def diversity_score(index: int, colorings: Sequence[Coloring], n: int) -> float:
+def diversity_score(index: int, colorings: Sequence[Coloring]) -> float:
     """Replacement score of one coloring within a pool: its sum plus
-    exp(0.08 n / d) where d is the Hamming distance to its nearest other
-    member.  Infinite for exact duplicates, and where the penalty overflows
-    a float (0.08 n / d above about 709.78, so only past n / d = 8872):
-    such a coloring is as close to a duplicate as a float can tell.
-    Higher is worse."""
+    exp(0.08 n / d), where n is its vertex count and d the Hamming
+    distance to its nearest other member.  Infinite for exact duplicates,
+    and where the penalty overflows a float (0.08 n / d above about 709.78,
+    so only past n / d = 8872): such a coloring is as close to a duplicate
+    as a float can tell.  Higher is worse."""
     me = colorings[index]
     nearest = min(
         hamming_distance(me, other)
@@ -114,38 +119,33 @@ def diversity_score(index: int, colorings: Sequence[Coloring], n: int) -> float:
     if nearest == 0:
         return math.inf
     try:
-        return me.sum + math.exp(0.08 * n / nearest)
+        return me.sum + math.exp(0.08 * me.n / nearest)
     except OverflowError:
         return math.inf
 
 
-def update_population(
-    population: list[Coloring],
-    offspring: Coloring,
-    rng: random.Random,
-    replace_second_worst_probability: float = 0.2,
-) -> bool:
+def update_population(population: list[Coloring], offspring: Coloring, rng: random.Random) -> bool:
     """Decide whether canonical ``offspring`` joins ``population``, a list
     of pairwise-distinct canonical colorings, replacing a member in place.
 
-    Offspring duplicating a member is always discarded.  Otherwise the
-    worst-scored coloring of the pool-plus-offspring leaves; when that is
-    the offspring itself, with the given probability the worst existing
-    member leaves instead and the offspring stays.  Returns True iff the
-    offspring entered.  Population size is invariant.
+    Offspring duplicating a member is always discarded, with no draw.
+    Otherwise the worst-scored coloring (``diversity_score``) of the
+    pool-plus-offspring leaves; when that is the offspring itself, with
+    probability 0.2 the worst existing member leaves instead and the
+    offspring stays.  Returns True iff the offspring entered.  Population
+    size is invariant.
     """
     if offspring in population:
         return False
     pool = population + [offspring]
-    n = offspring.n
-    scores = [diversity_score(i, pool, n) for i in range(len(pool))]
+    scores = [diversity_score(i, pool) for i in range(len(pool))]
     negated = [(-score, i) for i, score in enumerate(scores)]
     worst = uniform_min(negated, rng)
     last = len(pool) - 1
     if worst != last:
         population[worst] = offspring
         return True
-    if rng.random() < replace_second_worst_probability:
+    if rng.random() < _SECOND_WORST_PROBABILITY:
         population[uniform_min(negated[:last], rng)] = offspring
         return True
     return False
@@ -200,7 +200,7 @@ def memetic_search(
             best = improved
             if on_improve is not None:
                 on_improve(best.sum)
-        update_population(population, improved, rng, params.replace_second_worst_probability)
+        update_population(population, improved, rng)
         if on_generation is not None:
             on_generation(generation, population, best.sum)
     return best

@@ -119,6 +119,21 @@ def test_load_manifest_names_the_line_of_an_undecodable_byte(tmp_path, newline):
     assert str(info.value) == f"{path}: line 3: byte 0xff is not valid utf-8"
 
 
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+@pytest.mark.parametrize("inside", ["\x0c", "\x85", "\u2028", "\u2029"])
+def test_load_manifest_ends_lines_only_at_line_endings(tmp_path, newline, inside):
+    """A form feed, NEL or Unicode separator inside a comment is part of
+    the comment, both for the rows and for the line of a bad byte."""
+    path = tmp_path / "manifest.txt"
+    comment = f"# caf\u00e9{inside}notes".encode("utf-8")
+    path.write_bytes(newline.join([comment, b"a a.col 1 0 1 exact 1", b""]))
+    assert [r.name for r in load_manifest(str(path))] == ["a"]
+    path.write_bytes(newline.join([comment, b"a a.col 1 0 1 exact 1", b"b b\xff.col 1 0 1 exact 1", b""]))
+    with pytest.raises(InputError) as info:
+        load_manifest(str(path))
+    assert str(info.value) == f"{path}: line 3: byte 0xff is not valid utf-8"
+
+
 def test_load_manifest_drops_a_leading_byte_order_mark(tmp_path):
     """A manifest saved with a UTF-8 byte-order mark names its first
     instance without the mark, and a bad row keeps its line number."""
@@ -286,14 +301,14 @@ def test_what_workers_exchange_survives_pickling():
     """--jobs N pickles the parameters and record to each worker and the
     rows back, so every field must come through unchanged."""
     params = MemeticParams(
-        population_size=4, max_generations=7, replace_second_worst_probability=0.5,
+        population_size=4, max_generations=7,
         tabu=TabuSearchParams(exchange_idle_limit=40, relocate_idle_limit=80,
                               stall_limit=45, iteration_budget=123),
         init=TabucolParams(iteration_budget=20_000, restarts=2),
     )
     copy = pickle.loads(pickle.dumps(params))
     assert type(copy) is MemeticParams
-    assert (copy.population_size, copy.max_generations, copy.replace_second_worst_probability) == (4, 7, 0.5)
+    assert (copy.population_size, copy.max_generations) == (4, 7)
     assert type(copy.tabu) is TabuSearchParams and vars(copy.tabu) == vars(params.tabu)
     assert type(copy.init) is TabucolParams and vars(copy.init) == vars(params.init)
     record = myciel3_record()

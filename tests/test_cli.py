@@ -1,5 +1,7 @@
 import json
+import re
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -28,13 +30,11 @@ def test_apply_param_overrides_reaches_every_section():
     params = apply_param_overrides(
         MemeticParams(),
         ["population_size=4", "max_generations=7",
-         "replace_second_worst_probability=0.5",
          "iteration_budget=123", "stall_limit=45",
          "init_restarts=2", "init_iteration_budget=321"],
     )
     assert params.population_size == 4
     assert params.max_generations == 7
-    assert params.replace_second_worst_probability == 0.5
     assert params.tabu.iteration_budget == 123
     assert params.tabu.stall_limit == 45
     assert params.init.restarts == 2
@@ -53,7 +53,7 @@ def test_apply_param_overrides_rejects_bad_input():
 @pytest.mark.parametrize("pair, message", [
     ("stall_limit=0", "stall_limit must be >= 1"),
     ("init_restarts=0", "iteration_budget and restarts must be >= 1"),
-    ("replace_second_worst_probability=1.5", r"replace_second_worst_probability must be in \[0, 1\]"),
+    ("population_size=1", "population_size must be >= 2"),
 ])
 def test_apply_param_overrides_checks_each_changed_set(pair, message):
     with pytest.raises(ValueError, match=message):
@@ -184,7 +184,6 @@ def test_param_keys_are_read_from_the_parameter_classes():
     assert _PARAM_FIELDS == {
         "population_size": ("", "population_size", int),
         "max_generations": ("", "max_generations", int),
-        "replace_second_worst_probability": ("", "replace_second_worst_probability", float),
         "exchange_idle_limit": ("tabu", "exchange_idle_limit", int),
         "relocate_idle_limit": ("tabu", "relocate_idle_limit", int),
         "stall_limit": ("tabu", "stall_limit", int),
@@ -194,15 +193,30 @@ def test_param_keys_are_read_from_the_parameter_classes():
     }
 
 
+def test_readme_lists_every_param_key_with_its_default():
+    """README's "Key parameters" paragraph names exactly the --param keys,
+    each with its default as the first number in its parentheses."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    paragraph = readme[readme.index("Key parameters ("):].split("\n\n", 1)[0]
+    named = set(re.findall(r"`([a-z][a-z_]*[a-z])`", paragraph))
+    listed = {key: int(default) for key, default in re.findall(r"`([a-z_]+)` \((\d+)", paragraph)}
+    assert named == set(listed) == set(_PARAM_FIELDS)
+    defaults = MemeticParams()
+    for key, (section, field, _) in _PARAM_FIELDS.items():
+        assert listed[key] == getattr(getattr(defaults, section) if section else defaults, field), key
+
+
 def test_solve_rejects_target_outside_masc(capsys):
     assert main(["solve", myciel3_path(), "--mode", "dnts", "--target", "21", *QUICK]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "target applies only to mode 'masc'" in err
 
 
-@pytest.mark.parametrize("pair", ["init_tenure_base=9", "init_tenure_slope=0.6"])
-def test_solve_rejects_the_fixed_tenure_keys(capsys, pair):
-    """TABUCOL's tenure is a fixed rule, not a key: even its own values are
+@pytest.mark.parametrize("pair", ["init_tenure_base=9", "init_tenure_slope=0.6",
+                                  "replace_second_worst_probability=0.2"])
+def test_solve_rejects_the_keys_of_fixed_rules(capsys, pair):
+    """TABUCOL's tenure and the population update's worst-offspring
+    probability are fixed rules, not keys: even their own values are
     refused, on one line and without a traceback."""
     argv = ["solve", myciel3_path(), "--runs", "1", "--param", pair]
     assert main(argv) == 1

@@ -81,6 +81,22 @@ def test_load_dimacs_drops_a_leading_byte_order_mark(tmp_path):
     assert str(info.value) == f"{marked}: line 1: unrecognized line 'q 1 2'"
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("inside", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+def test_load_dimacs_ends_lines_only_at_line_endings(tmp_path, newline, inside):
+    """A form feed or other separator inside a comment neither ends the
+    comment nor shifts the line numbers an editor shows."""
+    path = tmp_path / "g.col"
+    rows = [f"c made by a tool{inside}page 2", "p edge 2 1", "e 1 2"]
+    path.write_bytes(newline.join(rows + [""]).encode("ascii"))
+    loaded = load_dimacs(str(path))
+    assert (loaded.n, list(loaded.edges())) == (2, [(0, 1)])
+    path.write_bytes(newline.join(rows + ["q 1 2", ""]).encode("ascii"))
+    with pytest.raises(InputError) as info:
+        load_dimacs(str(path))
+    assert str(info.value) == f"{path}: line 4: unrecognized line 'q 1 2'"
+
+
 def test_parse_requires_problem_line():
     with pytest.raises(InputError, match="missing problem line"):
         parse_dimacs("c only a comment\n")

@@ -37,8 +37,6 @@ def test_params_validation():
         MemeticParams(population_size=1)
     with pytest.raises(ValueError):
         MemeticParams(max_generations=0)
-    with pytest.raises(ValueError):
-        MemeticParams(replace_second_worst_probability=1.5)
 
 
 def test_diversity_score_formula():
@@ -46,11 +44,11 @@ def test_diversity_score_formula():
     b = Coloring.from_assignment([1, 1, 1, 2])  # distance 1 from a
     c = Coloring.from_assignment([2, 2, 2, 2])  # distance 4 from a, 3 from b
     pool = [a, b, c]
-    assert diversity_score(0, pool, 4) == pytest.approx(4 + math.exp(0.08 * 4 / 1))
-    assert diversity_score(2, pool, 4) == pytest.approx(8 + math.exp(0.08 * 4 / 3))
+    assert diversity_score(0, pool) == pytest.approx(4 + math.exp(0.08 * 4 / 1))
+    assert diversity_score(2, pool) == pytest.approx(8 + math.exp(0.08 * 4 / 3))
     dup = [a, b, Coloring.from_assignment([1, 1, 1, 1])]
-    assert diversity_score(0, dup, 4) == math.inf
-    assert diversity_score(2, dup, 4) == math.inf
+    assert diversity_score(0, dup) == math.inf
+    assert diversity_score(2, dup) == math.inf
 
 
 def test_diversity_penalty_past_the_float_range_counts_as_a_duplicate():
@@ -62,22 +60,26 @@ def test_diversity_penalty_past_the_float_range_counts_as_a_duplicate():
     b = Coloring.from_assignment([1] * (n - 1) + [2])
     x = Coloring.from_assignment([2] * n)
     pool = [a, x, b]
-    assert diversity_score(0, pool, n) == math.inf
-    assert diversity_score(2, pool, n) == math.inf
-    assert diversity_score(1, pool, n) == pytest.approx(2 * n + math.exp(0.08 * n / (n - 1)))
+    assert diversity_score(0, pool) == math.inf
+    assert diversity_score(2, pool) == math.inf
+    assert diversity_score(1, pool) == pytest.approx(2 * n + math.exp(0.08 * n / (n - 1)))
     assert diversity_score(0, [Coloring.from_assignment([1] * 8872),
-                               Coloring.from_assignment([1] * 8871 + [2])], 8872) < math.inf
+                               Coloring.from_assignment([1] * 8871 + [2])]) < math.inf
     for seed in range(4):
         pop = [a, x]
-        entered = update_population(pop, b, random.Random(seed), 0.2)
+        entered = update_population(pop, b, random.Random(seed))
         # a and b tie as the worst: one of them leaves, never the distant x
         assert pop == ([b, x] if entered else [a, x])
 
 
 def test_update_population_discards_duplicates():
+    """A duplicate is refused before any draw, so no coin can let it in."""
     pop = [Coloring.from_assignment(x) for x in ([1, 1, 2], [1, 2, 1], [2, 1, 1])]
     clone = Coloring.from_assignment([1, 2, 1])
-    assert update_population(pop, clone, random.Random(0), 1.0) is False
+    rng = random.Random(0)
+    state = rng.getstate()
+    assert update_population(pop, clone, rng) is False
+    assert rng.getstate() == state
     assert [m.assignment for m in pop] == [[1, 1, 2], [1, 2, 1], [2, 1, 1]]
 
 
@@ -88,24 +90,33 @@ def test_update_population_replaces_scored_worst():
     bad = Coloring.from_assignment([3, 3, 2, 2, 1])    # sum 11
     pop = [good, mid, bad]
     newcomer = Coloring.from_assignment([1, 1, 2, 2, 1])  # sum 7
-    assert update_population(pop, newcomer, random.Random(0), 0.2) is True
+    assert update_population(pop, newcomer, random.Random(0)) is True
     assert bad not in pop and newcomer in pop
     assert len(pop) == 3
 
 
 def test_update_population_worst_offspring_needs_the_coin():
+    """The offspring alone scores worst, so the only draw is the coin: it
+    enters, in place of the worst member, iff that draw is below 0.2, and
+    over 2000 seeds it enters at about that rate."""
     good = Coloring.from_assignment([1, 1, 1, 1, 2])
     mid = Coloring.from_assignment([2, 2, 2, 1, 1])
     worst_member = Coloring.from_assignment([3, 3, 2, 2, 1])
     offspring = Coloring.from_assignment([3, 3, 3, 2, 2])  # sum 13, scored worst
+    assert random.Random(0).random() > 0.2
     pop = [good, mid, worst_member]
-    assert update_population(pop, offspring, random.Random(0), 0.0) is False
+    assert update_population(pop, offspring, random.Random(0)) is False
     assert offspring not in pop and worst_member in pop
 
+    assert random.Random(1).random() < 0.2
     pop = [good, mid, worst_member]
-    assert update_population(pop, offspring, random.Random(0), 1.0) is True
+    assert update_population(pop, offspring, random.Random(1)) is True
     assert offspring in pop and worst_member not in pop
     assert good in pop and mid in pop
+
+    entered = sum(update_population([good, mid, worst_member], offspring, random.Random(seed))
+                  for seed in range(2000))
+    assert 0.17 <= entered / 2000 <= 0.23
 
 
 def test_update_population_keeps_a_distinct_list():
@@ -134,7 +145,7 @@ def test_update_population_keeps_a_distinct_list():
             offspring = random_canonical()
         duplicate = tuple(offspring.assignment) in {tuple(m.assignment) for m in population}
         before = list(population)
-        accepted = update_population(population, offspring, rng, 0.5)
+        accepted = update_population(population, offspring, rng)
         assert len(population) == 5
         assert len({tuple(m.assignment) for m in population}) == 5
         assert accepted == (offspring in population and not duplicate)
