@@ -10,7 +10,6 @@ from .coloring import Coloring, is_proper, load_coloring, save_coloring
 from .graph import Graph, load_dimacs
 from .memetic import MemeticParams, memetic_search
 from .tabu_search import TabuSearchParams
-from .tabucol import TabucolParams
 
 __version__ = "0.1.0"
 
@@ -19,7 +18,6 @@ __all__ = [
     "Graph",
     "MemeticParams",
     "TabuSearchParams",
-    "TabucolParams",
     "__version__",
     "is_proper",
     "load_coloring",

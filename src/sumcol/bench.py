@@ -227,7 +227,7 @@ def _run_once(
             on_improve=note, stats=stats,
         )
     else:
-        start = warm_start if warm_start is not None else initial_coloring(graph, params.init, rng)
+        start = warm_start if warm_start is not None else initial_coloring(graph, params.init_restarts, rng)
         note()
         best = tabu_search(
             start, graph, params.tabu, rng,

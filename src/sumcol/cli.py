@@ -25,16 +25,13 @@ from .coloring import Coloring, load_coloring, save_coloring
 from .graph import load_dimacs
 from .memetic import MemeticParams
 from .tabu_search import TabuSearchParams
-from .tabucol import TabucolParams
 
 # --param keys and where each lands inside MemeticParams: (section, field,
 # cast).  Every int-valued attribute of a default-constructed parameter
-# class is a key, cast by its default's type; TABUCOL's keys carry the
-# prefix "init_".
+# class is a key, cast by its default's type.
 _PARAM_FIELDS = {
-    prefix + name: (section, name, type(default))
-    for section, prefix, params in (("", "", MemeticParams), ("tabu", "", TabuSearchParams),
-                                    ("init", "init_", TabucolParams))
+    name: (section, name, type(default))
+    for section, params in (("", MemeticParams), ("tabu", TabuSearchParams))
     for name, default in vars(params()).items()
     if isinstance(default, int)
 }

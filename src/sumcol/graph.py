@@ -24,8 +24,8 @@ Every input file, a graph, a coloring or a manifest, is read by
 (ASCII with undecodable bytes replaced, or strict UTF-8 for a manifest),
 runs the format's parser and names the file in front of any
 ``InputError``.  The parsers cut their text into numbered lines with
-``data_lines``, which ends a line only at ``\n``, ``\r\n`` or ``\r``, and
-convert fields with ``ints``.
+``data_lines``, which ends a line only at ``\n``, ``\r\n`` or ``\r`` and
+separates fields only at ASCII whitespace, and convert fields with ``ints``.
 """
 
 from __future__ import annotations
@@ -81,14 +81,24 @@ def _split_lines(text: str) -> list[str]:
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
+# The characters str.split() and str.strip() cut at in ASCII text; beyond
+# ASCII they also cut at no-break spaces, NEL, U+2028, U+3000 and more.
+_ASCII_WHITESPACE = "".join(c for c in map(chr, range(128)) if c.isspace())
+_TO_SPACE = str.maketrans(_ASCII_WHITESPACE, " " * len(_ASCII_WHITESPACE))
+
+
 def data_lines(text: str, comment: str) -> Iterator[tuple[int, str, list[str]]]:
     """``(line_no, line, fields)`` for each line of ``text`` that is neither
     blank nor a comment (starts with ``comment`` once stripped); line numbers
-    count from 1 and ``line`` is stripped."""
+    count from 1 and ``line`` is stripped.  Only ASCII whitespace separates
+    and surrounds fields, so a path may hold a no-break or other Unicode
+    space; an ASCII line, the common case, is cut by ``str.split``."""
     for line_no, raw in enumerate(_split_lines(text), start=1):
-        line = raw.strip()
+        ascii_line = raw.isascii()
+        line = raw.strip() if ascii_line else raw.strip(_ASCII_WHITESPACE)
         if line and not line.startswith(comment):
-            yield line_no, line, line.split()
+            yield line_no, line, (line.split() if ascii_line else
+                                  [f for f in line.translate(_TO_SPACE).split(" ") if f])
 
 
 def ints(fields: list[str], line_no: int, message: str, *shown: object) -> list[int]:

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 from .coloring import Coloring, canonical_relabel, hamming_distance, is_proper
 from .graph import Graph, bits
 from .tabu_search import SearchStats, TabuSearchParams, tabu_search, uniform_min
-from .tabucol import TabucolParams, generate_population
+from .tabucol import generate_population
 
 
 # The population update's fixed rule: an offspring scored worst of the pool
@@ -27,20 +27,24 @@ _SECOND_WORST_PROBABILITY = 0.2
 
 
 class MemeticParams:
-    """Population size, generation count, and the tabu search and TABUCOL
-    settings.  The population update has no settings: its crowding weight
-    and its worst-offspring probability are fixed (``update_population``)."""
+    """Population size, generation count, the tabu search settings and the
+    number of attempts per TABUCOL call (``init_restarts``).  TABUCOL's
+    other rules and the population update's crowding weight and
+    worst-offspring probability are fixed (``tabucol``,
+    ``update_population``)."""
 
     def __init__(self, population_size: int = 10, max_generations: int = 50,
-                 tabu: TabuSearchParams | None = None, init: TabucolParams | None = None):
+                 tabu: TabuSearchParams | None = None, init_restarts: int = 3):
         if population_size < 2:
             raise ValueError("population_size must be >= 2")
         if max_generations < 1:
             raise ValueError("max_generations must be >= 1")
+        if init_restarts < 1:
+            raise ValueError("init_restarts must be >= 1")
         self.population_size = population_size
         self.max_generations = max_generations
         self.tabu = TabuSearchParams() if tabu is None else tabu
-        self.init = TabucolParams() if init is None else init
+        self.init_restarts = init_restarts
 
 
 def choose_parent_count(n: int, k: int) -> int:
@@ -167,10 +171,12 @@ def memetic_search(
 
     ``warm_start`` injects one externally supplied proper coloring into the
     initial population.  ``target`` stops the run as soon as the best sum
-    reaches it; since the incumbent never worsens, a run that would reach
-    the target anyway returns the same result either way.  The run also
-    stops, without a target, once the best sum meets ``graph.sum_bound``,
-    which no coloring can beat.  ``on_improve``
+    reaches it, also inside the population build or an offspring's tabu
+    search, which end with the coloring that reaches it; since the
+    incumbent never worsens, a run that would reach the target anyway
+    returns a coloring within it either way.  The run also stops, without a
+    target, once the best sum meets ``graph.sum_bound``, which no coloring
+    can beat.  ``on_improve``
     fires with each new best sum (including the initial one),
     ``on_generation(generation, members, best_sum)`` with the population
     list after each population update.  With fewer distinct partitions in
@@ -179,13 +185,14 @@ def memetic_search(
     """
     if warm_start is not None and not is_proper(warm_start, graph):
         raise ValueError("warm start coloring is not proper")
-    population = generate_population(graph, params.population_size, params.init, rng, include=warm_start)
+    stop = graph.sum_bound if target is None else max(target, graph.sum_bound)
+    population = generate_population(graph, params.population_size, params.init_restarts, rng,
+                                     include=warm_start, stop_sum=stop)
     best = min(population, key=lambda m: m.sum)
     if on_improve is not None:
         on_improve(best.sum)
     if len(population) < 2:
         return best
-    stop = graph.sum_bound if target is None else max(target, graph.sum_bound)
     for generation in range(1, params.max_generations + 1):
         if best.sum <= stop:
             break
@@ -194,7 +201,7 @@ def memetic_search(
         parents = rng.sample(population, count)
         child = partition_crossover(parents, graph, rng)
         improved = tabu_search(
-            child, graph, params.tabu, rng, validate=validate, stats=stats
+            child, graph, params.tabu, rng, validate=validate, stats=stats, stop_sum=stop
         )
         if improved.sum < best.sum:
             best = improved

@@ -294,8 +294,10 @@ class TabuSearchRun:
         rng: random.Random,
         validate: bool = False,
         on_improve: Callable[[int, int], None] | None = None,
+        stop_sum: int | None = None,
     ):
         self.graph = graph
+        self.stop_sum = graph.sum_bound if stop_sum is None else stop_sum
         self.rng = rng
         self.validate = validate
         self.on_improve = on_improve
@@ -345,8 +347,8 @@ class TabuSearchRun:
                 self.stall = 0
                 if self.on_improve is not None:
                     self.on_improve(self.best.sum, at)
-                if self.best.sum <= self.graph.sum_bound:
-                    # no coloring beats this one: the budget ends here
+                if self.best.sum <= self.stop_sum:
+                    # the caller needs no better coloring: the budget ends here
                     budget = self.budget = at
             else:
                 idle += 1
@@ -539,15 +541,19 @@ def tabu_search(
     validate: bool = False,
     on_improve: Callable[[int, int], None] | None = None,
     stats: SearchStats | None = None,
+    stop_sum: int | None = None,
 ) -> Coloring:
     """Improve a proper coloring; returns the canonically relabeled best.
 
     Runs phases over ``neighborhoods`` in order (restricting the tuple to
     one entry gives the single-neighborhood variants), perturbing whenever
     ``stall_limit`` consecutive iterations pass without improving the best,
-    until ``iteration_budget`` total iterations, or until the best sum meets
-    ``graph.sum_bound``: none can be lower, so the call returns what the
-    full budget would.  The result never has a larger sum than the input.
+    until ``iteration_budget`` total iterations, or until the best sum is at
+    most ``stop_sum``.  Its default, ``graph.sum_bound``, is a sum no
+    coloring beats, so that stop returns what the full budget would; a
+    caller content with more, as ``memetic_search`` is with a target above
+    the bound, passes its own.  The result never has a larger sum than the
+    input.
     """
     if not is_proper(coloring, graph):
         raise ValueError("tabu_search requires a proper coloring")
@@ -556,10 +562,12 @@ def tabu_search(
             raise ValueError(f"unknown neighborhood {kind!r}")
     if not neighborhoods:
         raise ValueError("need at least one neighborhood")
-    if coloring.sum <= graph.sum_bound:
-        # no coloring beats it (this covers the empty coloring)
+    stop = graph.sum_bound if stop_sum is None else stop_sum
+    if coloring.sum <= stop:
+        # no better coloring is needed (this covers the empty coloring)
         return canonical_relabel(coloring)
-    run = TabuSearchRun(coloring, graph, params, rng, validate=validate, on_improve=on_improve)
+    run = TabuSearchRun(coloring, graph, params, rng, validate=validate, on_improve=on_improve,
+                        stop_sum=stop)
     limits = {EXCHANGE: params.exchange_idle_limit, RELOCATE: params.relocate_idle_limit}
     while run.tabu.iteration < run.budget:
         for kind in neighborhoods:

@@ -18,7 +18,8 @@ below it is refused without an attempt, so a descent that reaches it (the
 chromatic number equals the clique number) ends at once.  The pool stops
 filling as soon as a member's sum meets the graph's clique-partition bound
 (``Graph.sum_bound``), since that member is already optimal: every
-7-coloring of queen7.7, say, has the optimal sum 196.
+7-coloring of queen7.7, say, has the optimal sum 196.  A caller's stop sum
+above the bound, such as a run's target, ends the fill the same way.
 
 A recolored vertex may not return to its old class for
 ``int(_TENURE_SLOPE * conflicts) + uniform{0.._TENURE_BASE}`` iterations
@@ -28,7 +29,10 @@ conflicting-edge count after the move: the tenure rule of Galinier & Hao
 without a new fewest-conflicts count: the ``nbmax`` stopping rule of the
 original TABUCOL (Hertz & de Werra 1987).  A failing attempt reaches its
 final conflict count early and only wanders after it, so the rule mostly
-cuts the last, infeasible k of the descent.
+cuts the last, infeasible k of the descent.  Whatever its progress, an
+attempt also ends after ``_ITERATION_BUDGET`` (100,000) iterations; only an
+attempt that keeps finding new fewest-conflicts counts runs that long.  The
+tenure and both stops are fixed rules; a call sets only its restart count.
 
 Each iteration of an attempt walks only its conflicting vertices, the only
 ones a move may recolor.  It keeps them in an ascending list, exact move by
@@ -49,29 +53,13 @@ from .coloring import Coloring, canonical_relabel
 from .graph import Graph, bits
 from .tabu_search import uniform_min
 
-# An attempt fails after this many iterations without a new best conflict count.
+# An attempt fails after this many iterations without a new best conflict
+# count, and after _ITERATION_BUDGET iterations in all.
 _IDLE_LIMIT = 10_000
+_ITERATION_BUDGET = 100_000
 # A move's old class is tabu for int(_TENURE_SLOPE * conflicts) + uniform{0.._TENURE_BASE} iterations.
 _TENURE_BASE = 9
 _TENURE_SLOPE = 0.6
-
-
-class TabucolParams:
-    """Knobs for one feasibility attempt at fixed k.
-
-    An attempt ends after ``iteration_budget`` iterations, or after 10,000
-    iterations without a new best conflict count (Hertz & de Werra's
-    ``nbmax`` rule), whichever comes first; a budget above 10,000 therefore
-    caps only attempts that keep improving.  The idle stop and the tabu
-    tenure (Galinier & Hao's 0.6 × conflicts + uniform{0..9}) are fixed
-    rules, not knobs.
-    """
-
-    def __init__(self, iteration_budget: int = 100_000, restarts: int = 3):
-        if iteration_budget < 1 or restarts < 1:
-            raise ValueError("iteration_budget and restarts must be >= 1")
-        self.iteration_budget = iteration_budget
-        self.restarts = restarts
 
 
 def greedy_coloring(graph: Graph) -> Coloring:
@@ -92,17 +80,17 @@ def greedy_coloring(graph: Graph) -> Coloring:
     return Coloring.from_assignment(colors)
 
 
-def tabucol(graph: Graph, k: int, params: TabucolParams, rng: random.Random,
+def tabucol(graph: Graph, k: int, restarts: int, rng: random.Random,
             warm: Coloring | None = None) -> Coloring | None:
     """Search for a proper k-coloring; None if none found within budget.
 
     A k below ``graph.clique_size``, the size of a clique the graph grows
     once and keeps, cannot be colored, so it returns None at once without
-    drawing from ``rng``.  Otherwise runs up to
-    ``params.restarts`` attempts from fresh uniform random assignments,
-    each limited to ``params.iteration_budget`` iterations and ended early
-    after ``_IDLE_LIMIT`` (10,000) iterations without a new fewest-conflicts
-    count (Hertz & de Werra's ``nbmax`` rule).
+    drawing from ``rng``.  Otherwise runs up to ``restarts`` attempts from
+    fresh uniform random assignments, each limited to ``_ITERATION_BUDGET``
+    (100,000) iterations and ended early after ``_IDLE_LIMIT`` (10,000)
+    iterations without a new fewest-conflicts count (Hertz & de Werra's
+    ``nbmax`` rule).
     Moves recolor one endpoint of a conflicting edge; the best (fewest
     resulting conflicts) non-tabu move is taken, ties uniformly at random,
     and a tabu move is allowed when it beats the attempt's best.
@@ -115,11 +103,13 @@ def tabucol(graph: Graph, k: int, params: TabucolParams, rng: random.Random,
     n = graph.n
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     if k < graph.clique_size:
         return None
     start = None if warm is None else _dissolve_smallest_class(graph, warm, rng)
-    for _ in range(params.restarts):
-        sol = _tabucol_attempt(graph, k, params, rng, start)
+    for _ in range(restarts):
+        sol = _tabucol_attempt(graph, k, rng, start)
         if sol is not None:
             return sol
         start = None
@@ -150,7 +140,7 @@ def _dissolve_smallest_class(graph: Graph, coloring: Coloring, rng: random.Rando
     return colors
 
 
-def _tabucol_attempt(graph: Graph, k: int, params: TabucolParams, rng: random.Random,
+def _tabucol_attempt(graph: Graph, k: int, rng: random.Random,
                      start: list[int] | None = None) -> Coloring | None:
     # Colors are 0-based here and 1-based only in the returned Coloring.
     n = graph.n
@@ -177,7 +167,7 @@ def _tabucol_attempt(graph: Graph, k: int, params: TabucolParams, rng: random.Ra
     others = [tuple(c for c in range(k) if c != own) for own in range(k)]
     slope = _TENURE_SLOPE
     base = _TENURE_BASE
-    for it in range(1, params.iteration_budget + 1):
+    for it in range(1, _ITERATION_BUDGET + 1):
         # the (v, c) of the moves tied at chosen_delta, as uniform_min collects them
         tied = []
         # sentinel above every delta (a delta is at most degree - 1 < n)
@@ -249,36 +239,39 @@ def _tabucol_attempt(graph: Graph, k: int, params: TabucolParams, rng: random.Ra
     return None
 
 
-def initial_coloring(graph: Graph, params: TabucolParams, rng: random.Random) -> Coloring:
+def initial_coloring(graph: Graph, restarts: int, rng: random.Random) -> Coloring:
     """One proper coloring at the smallest k the budget reaches: greedy
-    bound, then tabucol at decreasing k, each call warm from the last
-    success; the last success wins.  The descent starts at greedy's k - 1,
-    warm from greedy's coloring, since greedy already colors with its own k,
-    and it ends at the first failure, which is at latest the first k below
-    the clique size, refused without a draw.  When that first step fails,
-    greedy's k is the smallest reached, and a cold tabucol call at it gives
-    the result: a seed-dependent coloring rather than greedy's own."""
+    bound, then tabucol at decreasing k with ``restarts`` attempts per call,
+    each call warm from the last success; the last success wins.  The
+    descent starts at greedy's k - 1, warm from greedy's coloring, since
+    greedy already colors with its own k, and it ends at the first failure,
+    which is at latest the first k below the clique size, refused without a
+    draw.  When that first step fails, greedy's k is the smallest reached,
+    and a cold tabucol call at it gives the result: a seed-dependent
+    coloring rather than greedy's own."""
     greedy = best = greedy_coloring(graph)
     k = best.k - 1
     while k >= 1:
-        sol = tabucol(graph, k, params, rng, best)
+        sol = tabucol(graph, k, restarts, rng, best)
         if sol is None:
             break
         best = sol
         k -= 1
     if best is greedy and greedy.k >= 1:
-        best = tabucol(graph, greedy.k, params, rng) or greedy
+        best = tabucol(graph, greedy.k, restarts, rng) or greedy
     return canonical_relabel(best)
 
 
 def generate_population(
     graph: Graph,
     size: int,
-    params: TabucolParams,
+    restarts: int,
     rng: random.Random,
     include: Coloring | None = None,
+    stop_sum: int | None = None,
 ) -> list[Coloring]:
-    """Build up to ``size`` pairwise-distinct canonical proper colorings.
+    """Build up to ``size`` pairwise-distinct canonical proper colorings,
+    each ``tabucol`` call making up to ``restarts`` attempts.
 
     Distinctness means distinct partitions (canonical assignments differ).
     Colorings are collected at the smallest k the budget certifies; when
@@ -286,13 +279,15 @@ def generate_population(
     to k+1.  ``include`` injects one externally supplied coloring (warm
     start) as a member.  Fewer than ``size`` return when the retry budget
     runs out first, as on a graph with fewer distinct partitions in reach,
-    and as soon as a member meets ``graph.sum_bound``: no coloring has a
-    smaller sum, so that member is the best the population could hold.
+    and as soon as a member's sum is at most ``stop_sum``, by default
+    ``graph.sum_bound``: no coloring has a smaller sum, so that member is
+    the best the population could hold.  A caller with a target above the
+    bound passes it, since a member that reaches it already ends the run.
     """
     if size < 1:
         raise ValueError(f"population size must be >= 1, got {size}")
     members: list[Coloring] = []
-    bound = graph.sum_bound
+    stop = graph.sum_bound if stop_sum is None else stop_sum
 
     def try_add(c: Coloring) -> bool:
         cc = canonical_relabel(c)
@@ -303,9 +298,9 @@ def generate_population(
 
     if include is not None:
         try_add(include)
-        if members[0].sum <= bound:
+        if members[0].sum <= stop:
             return members
-    seed = initial_coloring(graph, params, rng)
+    seed = initial_coloring(graph, restarts, rng)
     k_min = seed.k
     if len(members) < size:
         try_add(seed)
@@ -313,10 +308,10 @@ def generate_population(
     dup_streak = 0
     attempts = 0
     max_attempts = max(20, 10 * size)
-    # a member at the bound is the newest one: the build stops when it joins
-    while len(members) < size and attempts < max_attempts and members[-1].sum > bound:
+    # a member at the stop sum is the newest one: the build stops when it joins
+    while len(members) < size and attempts < max_attempts and members[-1].sum > stop:
         attempts += 1
-        sol = tabucol(graph, level, params, rng) if 0 < level <= graph.n else None
+        sol = tabucol(graph, level, restarts, rng) if 0 < level <= graph.n else None
         if sol is not None and try_add(sol):
             dup_streak = 0
         else:

@@ -16,11 +16,11 @@ from pathlib import Path
 
 import pytest
 
+import sumcol.tabucol as tabucol_module
 from sumcol import (
     Coloring,
     Graph,
     MemeticParams,
-    TabucolParams,
     TabuSearchParams,
     is_proper,
     memetic_search,
@@ -142,7 +142,7 @@ def test_criterion_3_mode_ordering_on_reference_instances():
     print(f"criterion 3 (mode ordering): PASS {'; '.join(lines)}")
 
 
-def test_criterion_3_supplementary_mode_ordering_reduced_budget():
+def test_criterion_3_supplementary_mode_ordering_reduced_budget(monkeypatch):
     """Reduced-budget stand-in for the ordering property on a shipped
     instance, so the comparison always runs somewhere: six runs per mode on
     queen6.6 with matched iteration totals."""
@@ -151,11 +151,11 @@ def test_criterion_3_supplementary_mode_ordering_reduced_budget():
     if not available(record):
         pytest.skip("instance file for queen6.6 not shipped")
     graph = load_instance(record)
-    init = TabucolParams(iteration_budget=20_000, restarts=2)
+    monkeypatch.setattr(tabucol_module, "_ITERATION_BUDGET", 20_000)
     masc_params = MemeticParams(max_generations=5,
-                                tabu=TabuSearchParams(iteration_budget=5_000), init=init)
+                                tabu=TabuSearchParams(iteration_budget=5_000), init_restarts=2)
     single_params = MemeticParams(max_generations=5,
-                                  tabu=TabuSearchParams(iteration_budget=25_000), init=init)
+                                  tabu=TabuSearchParams(iteration_budget=25_000), init_restarts=2)
     means = _mode_means(record, graph, runs=6, base_seed=1,
                         masc_params=masc_params, single_params=single_params)
     _assert_mode_ordering(means, record.name)
@@ -202,7 +202,7 @@ def test_criterion_5b_incremental_sum_over_1e5_moves(queen5_5):
     both the recomputed sum and the initial sum plus all move deltas."""
     graph = queen5_5
     rng = random.Random(99)
-    coloring = initial_coloring(graph, TabucolParams(), rng)
+    coloring = initial_coloring(graph, 3, rng)
     tabu = TabuState()  # stays empty; only the apply path is exercised
     expected = coloring.sum
     applied = 0

@@ -11,7 +11,6 @@ ROOT_API = [
     "Graph",
     "MemeticParams",
     "TabuSearchParams",
-    "TabucolParams",
     "__version__",
     "is_proper",
     "load_coloring",

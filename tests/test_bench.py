@@ -5,10 +5,10 @@ import pickle
 
 import pytest
 
+import sumcol.tabucol as tabucol_module
 from sumcol import (
     Coloring,
     MemeticParams,
-    TabucolParams,
     TabuSearchParams,
     run_instance,
     run_seed,
@@ -29,14 +29,18 @@ from sumcol.graph import InputError
 from conftest import instance_path
 
 
-def quick_params(**tabu_overrides):
-    tabu = dict(exchange_idle_limit=40, relocate_idle_limit=80,
-                stall_limit=300, iteration_budget=600)
-    tabu.update(tabu_overrides)
-    return MemeticParams(
-        tabu=TabuSearchParams(**tabu),
-        init=TabucolParams(iteration_budget=20_000),
-    )
+@pytest.fixture
+def quick_params(monkeypatch):
+    """A factory of short tabu search settings; TABUCOL is capped at
+    20,000 iterations while the test runs."""
+    monkeypatch.setattr(tabucol_module, "_ITERATION_BUDGET", 20_000)
+
+    def make(**tabu_overrides):
+        tabu = dict(exchange_idle_limit=40, relocate_idle_limit=80,
+                    stall_limit=300, iteration_budget=600)
+        tabu.update(tabu_overrides)
+        return MemeticParams(tabu=TabuSearchParams(**tabu))
+    return make
 
 
 def myciel3_record():
@@ -132,6 +136,19 @@ def test_load_manifest_ends_lines_only_at_line_endings(tmp_path, newline, inside
     with pytest.raises(InputError) as info:
         load_manifest(str(path))
     assert str(info.value) == f"{path}: line 3: byte 0xff is not valid utf-8"
+
+
+@pytest.mark.parametrize("space", ["\u00a0", "\u3000", "\u2028"])
+def test_load_manifest_splits_fields_only_at_ascii_whitespace(tmp_path, space):
+    """A no-break, ideographic or line-separator space belongs to its field,
+    at either end of a row too; ASCII spaces and tabs still separate and
+    surround the fields of a row that holds one."""
+    path = tmp_path / "manifest.txt"
+    path.write_text(f"{space}a\tmy{space}file.col 1 0 1 exact 1 \n", encoding="utf-8")
+    [record] = load_manifest(str(path))
+    assert record.name == f"{space}a"
+    assert record.path == str(tmp_path / f"my{space}file.col")
+    assert (record.n, record.m, record.best_known, record.gcp_k) == (1, 0, 1, 1)
 
 
 def test_load_manifest_drops_a_leading_byte_order_mark(tmp_path):
@@ -265,7 +282,7 @@ def test_render_report_rejects_unknown_format():
 
 # ------------------------------------------------------------- batch runs
 
-def test_run_instance_masc_small(myciel3):
+def test_run_instance_masc_small(myciel3, quick_params):
     record = myciel3_record()
     report = run_instance(record, runs=3, base_seed=5, params=quick_params(),
                           graph=myciel3, target=21)
@@ -280,7 +297,7 @@ def test_run_instance_masc_small(myciel3):
 
 
 @pytest.mark.parametrize("mode", ["dnts", "ts-n1", "ts-n2"])
-def test_run_instance_single_solution_modes(myciel3, mode):
+def test_run_instance_single_solution_modes(myciel3, mode, quick_params):
     record = myciel3_record()
     report = run_instance(record, mode=mode, runs=2, base_seed=3,
                           params=quick_params(), graph=myciel3)
@@ -289,7 +306,7 @@ def test_run_instance_single_solution_modes(myciel3, mode):
     assert all(row.sum >= 21 for row in report.rows)
 
 
-def test_run_instance_reports_identical_with_and_without_jobs(myciel3):
+def test_run_instance_reports_identical_with_and_without_jobs(myciel3, quick_params):
     record = myciel3_record()
     kwargs = dict(runs=2, base_seed=8, params=quick_params(), graph=myciel3, target=21)
     sequential = run_instance(record, **kwargs)
@@ -304,13 +321,12 @@ def test_what_workers_exchange_survives_pickling():
         population_size=4, max_generations=7,
         tabu=TabuSearchParams(exchange_idle_limit=40, relocate_idle_limit=80,
                               stall_limit=45, iteration_budget=123),
-        init=TabucolParams(iteration_budget=20_000, restarts=2),
+        init_restarts=2,
     )
     copy = pickle.loads(pickle.dumps(params))
     assert type(copy) is MemeticParams
-    assert (copy.population_size, copy.max_generations) == (4, 7)
+    assert (copy.population_size, copy.max_generations, copy.init_restarts) == (4, 7, 2)
     assert type(copy.tabu) is TabuSearchParams and vars(copy.tabu) == vars(params.tabu)
-    assert type(copy.init) is TabucolParams and vars(copy.init) == vars(params.init)
     record = myciel3_record()
     assert pickle.loads(pickle.dumps(record)) == record
     report = synthetic_report()
@@ -319,7 +335,7 @@ def test_what_workers_exchange_survives_pickling():
     assert type(copy.record) is InstanceRecord and all(type(row) is RunRow for row in copy.rows)
 
 
-def test_run_instance_starts_at_most_one_worker_per_run(myciel3, monkeypatch):
+def test_run_instance_starts_at_most_one_worker_per_run(myciel3, monkeypatch, quick_params):
     """The pool is sized to the runs it has to spread, and a single run
     needs none.  A fake pool records its size and maps in-process."""
     import concurrent.futures
@@ -361,7 +377,7 @@ def test_run_instance_stops_dnts_at_a_certified_optimum():
     assert [(row.sum, row.k, row.iterations) for row in report.rows] == [(196, 7, 0)] * 2
 
 
-def test_run_instance_warm_start_bounds_result(myciel3):
+def test_run_instance_warm_start_bounds_result(myciel3, quick_params):
     record = myciel3_record()
     base = run_instance(record, runs=1, base_seed=2, params=quick_params(),
                         graph=myciel3, target=21)

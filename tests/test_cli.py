@@ -15,7 +15,6 @@ QUICK = [
     "--param", "exchange_idle_limit=40",
     "--param", "relocate_idle_limit=80",
     "--param", "stall_limit=200",
-    "--param", "init_iteration_budget=20000",
 ]
 
 
@@ -31,14 +30,13 @@ def test_apply_param_overrides_reaches_every_section():
         MemeticParams(),
         ["population_size=4", "max_generations=7",
          "iteration_budget=123", "stall_limit=45",
-         "init_restarts=2", "init_iteration_budget=321"],
+         "init_restarts=2"],
     )
     assert params.population_size == 4
     assert params.max_generations == 7
     assert params.tabu.iteration_budget == 123
     assert params.tabu.stall_limit == 45
-    assert params.init.restarts == 2
-    assert params.init.iteration_budget == 321
+    assert params.init_restarts == 2
 
 
 def test_apply_param_overrides_rejects_bad_input():
@@ -52,7 +50,7 @@ def test_apply_param_overrides_rejects_bad_input():
 
 @pytest.mark.parametrize("pair, message", [
     ("stall_limit=0", "stall_limit must be >= 1"),
-    ("init_restarts=0", "iteration_budget and restarts must be >= 1"),
+    ("init_restarts=0", "init_restarts must be >= 1"),
     ("population_size=1", "population_size must be >= 2"),
 ])
 def test_apply_param_overrides_checks_each_changed_set(pair, message):
@@ -188,8 +186,7 @@ def test_param_keys_are_read_from_the_parameter_classes():
         "relocate_idle_limit": ("tabu", "relocate_idle_limit", int),
         "stall_limit": ("tabu", "stall_limit", int),
         "iteration_budget": ("tabu", "iteration_budget", int),
-        "init_iteration_budget": ("init", "iteration_budget", int),
-        "init_restarts": ("init", "restarts", int),
+        "init_restarts": ("", "init_restarts", int),
     }
 
 
@@ -213,11 +210,12 @@ def test_solve_rejects_target_outside_masc(capsys):
 
 
 @pytest.mark.parametrize("pair", ["init_tenure_base=9", "init_tenure_slope=0.6",
+                                  "init_iteration_budget=100000",
                                   "replace_second_worst_probability=0.2"])
 def test_solve_rejects_the_keys_of_fixed_rules(capsys, pair):
-    """TABUCOL's tenure and the population update's worst-offspring
-    probability are fixed rules, not keys: even their own values are
-    refused, on one line and without a traceback."""
+    """TABUCOL's tenure and iteration cap and the population update's
+    worst-offspring probability are fixed rules, not keys: even their own
+    values are refused, on one line and without a traceback."""
     argv = ["solve", myciel3_path(), "--runs", "1", "--param", pair]
     assert main(argv) == 1
     captured = capsys.readouterr()

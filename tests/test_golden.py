@@ -25,14 +25,15 @@ from __future__ import annotations
 
 import json
 import random
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
 import sumcol.tabu_search as tabu_search_module
+import sumcol.tabucol as tabucol_module
 from sumcol import (
     MemeticParams,
-    TabucolParams,
     TabuSearchParams,
     load_dimacs,
     memetic_search,
@@ -48,16 +49,18 @@ DENSE_INSTANCE_PATH = ROOT.parent / "instances" / "queen8_8.col"
 SPARSE_GOLDEN_PATH = ROOT / "golden" / "myciel7.json"
 SPARSE_INSTANCE_PATH = ROOT.parent / "instances" / "myciel7.col"
 SPARSE_CASES = ("dnts", "ts-n2")
+# TABUCOL's (iteration cap, restarts) per descent case
 DESCENT_CASES = {
     # from greedy's k = 9, warm attempts reach 8 and 7, then the warm and the
     # fresh attempt at k = 6 exhaust their budget
-    "queen6_6": TabucolParams(iteration_budget=3000, restarts=2),
+    "queen6_6": (3000, 2),
     # greedy's k = 5 is optimal: the warm attempt and both fresh ones at
     # k = 4 end by the idle stop, then a fresh attempt at k = 5 succeeds
-    "myciel4": TabucolParams(),
+    "myciel4": (tabucol_module._ITERATION_BUDGET, 3),
 }
 
-INIT = TabucolParams(iteration_budget=2000, restarts=1)
+# the other cases' TABUCOL iteration cap and restarts
+INIT_BUDGET, INIT_RESTARTS = 2000, 1
 # Short phases and a low stall limit make perturbation fire several times.
 SINGLE = TabuSearchParams(exchange_idle_limit=200, relocate_idle_limit=200,
                           stall_limit=300, iteration_budget=3000)
@@ -70,7 +73,7 @@ SEED = 2013
 
 
 def _run_masc(graph) -> dict:
-    params = MemeticParams(max_generations=5, init=INIT,
+    params = MemeticParams(max_generations=5, init_restarts=INIT_RESTARTS,
                            tabu=TabuSearchParams(iteration_budget=2000))
     improvements: list[int] = []
     generations: list[list[int]] = []
@@ -87,13 +90,24 @@ def _run_masc(graph) -> dict:
 
 def _run_single(graph, mode: str) -> dict:
     rng = random.Random(SEED)
-    start = initial_coloring(graph, INIT, rng)
+    start = initial_coloring(graph, INIT_RESTARTS, rng)
     improvements: list[list[int]] = []
     stats = SearchStats()
     best = tabu_search(start, graph, SINGLE, rng, neighborhoods=NEIGHBORHOODS[mode],
                        on_improve=lambda s, it: improvements.append([s, it]), stats=stats)
     return {"start": start.assignment, "improvements": improvements,
             "iterations": stats.iterations, "sum": best.sum, "assignment": best.assignment}
+
+
+@contextmanager
+def _iteration_budget(budget: int):
+    """TABUCOL capped at ``budget`` iterations inside the block."""
+    original = tabucol_module._ITERATION_BUDGET
+    tabucol_module._ITERATION_BUDGET = budget
+    try:
+        yield
+    finally:
+        tabucol_module._ITERATION_BUDGET = original
 
 
 def run_case(mode: str, instance_path: Path = INSTANCE_PATH) -> dict:
@@ -109,7 +123,8 @@ def run_case(mode: str, instance_path: Path = INSTANCE_PATH) -> dict:
 
     tabu_search_module.perturb = counting_perturb
     try:
-        out = _run_masc(graph) if mode == "masc" else _run_single(graph, mode)
+        with _iteration_budget(INIT_BUDGET):
+            out = _run_masc(graph) if mode == "masc" else _run_single(graph, mode)
     finally:
         tabu_search_module.perturb = original
     out["perturbations"] = calls
@@ -124,7 +139,9 @@ def run_descent_case(name: str) -> dict:
     """``initial_coloring`` on one instance with ``DESCENT_CASES[name]``."""
     graph = load_dimacs(str(ROOT.parent / "instances" / f"{name}.col"))
     rng = random.Random(SEED)
-    best = initial_coloring(graph, DESCENT_CASES[name], rng)
+    budget, restarts = DESCENT_CASES[name]
+    with _iteration_budget(budget):
+        best = initial_coloring(graph, restarts, rng)
     return {"k": best.k, "assignment": best.assignment, "next_bits": rng.getrandbits(64)}
 
 

@@ -8,7 +8,6 @@ import sumcol.tabucol as tabucol_module
 from sumcol import (
     Coloring,
     MemeticParams,
-    TabucolParams,
     TabuSearchParams,
     is_proper,
     memetic_search,
@@ -22,14 +21,18 @@ import oracles
 from conftest import require_instance
 
 
-def quick_params(**overrides):
-    base = dict(
-        tabu=TabuSearchParams(exchange_idle_limit=40, relocate_idle_limit=80,
-                              stall_limit=300, iteration_budget=800),
-        init=TabucolParams(iteration_budget=20_000),
-    )
-    base.update(overrides)
-    return MemeticParams(**base)
+@pytest.fixture
+def quick_params(monkeypatch):
+    """A factory of settings with short tabu searches; TABUCOL is capped at
+    20,000 iterations while the test runs."""
+    monkeypatch.setattr(tabucol_module, "_ITERATION_BUDGET", 20_000)
+
+    def make(**overrides):
+        base = dict(tabu=TabuSearchParams(exchange_idle_limit=40, relocate_idle_limit=80,
+                                          stall_limit=300, iteration_budget=800))
+        base.update(overrides)
+        return MemeticParams(**base)
+    return make
 
 
 def test_params_validation():
@@ -37,6 +40,8 @@ def test_params_validation():
         MemeticParams(population_size=1)
     with pytest.raises(ValueError):
         MemeticParams(max_generations=0)
+    with pytest.raises(ValueError):
+        MemeticParams(init_restarts=0)
 
 
 def test_diversity_score_formula():
@@ -159,14 +164,14 @@ def test_update_population_keeps_a_distinct_list():
     assert outcomes[False, True] and outcomes[False, False]
 
 
-def test_memetic_search_reaches_known_optimum(myciel3):
+def test_memetic_search_reaches_known_optimum(myciel3, quick_params):
     best = memetic_search(myciel3, quick_params(), random.Random(4), target=21)
     assert best.sum == 21 == sum(best.assignment)
     assert is_proper(best, myciel3)
     assert best.assignment == canonical_relabel(best).assignment
 
 
-def test_memetic_search_callbacks_and_stats(myciel4):
+def test_memetic_search_callbacks_and_stats(myciel4, quick_params):
     stats = SearchStats()
     improvements = []
     generations = []
@@ -189,11 +194,25 @@ def test_memetic_search_callbacks_and_stats(myciel4):
     assert stats.iterations == 5 * params.tabu.iteration_budget
 
 
-def test_memetic_search_target_stops_early(myciel3):
+def test_memetic_search_target_stops_early(myciel3, quick_params):
     calls = []
     memetic_search(myciel3, quick_params(max_generations=50), random.Random(4),
                    target=21, on_generation=lambda g, p, b: calls.append(g))
     assert len(calls) < 50
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_memetic_search_target_ends_the_tabu_search_that_reaches_it(seed):
+    """On myciel5 (bound 63) the population's best is above the target 100,
+    and the first offspring's tabu search reaches it within its 10,000
+    iterations: that search, and the run, end there."""
+    g = require_instance("myciel5")
+    stats = SearchStats()
+    improvements = []
+    best = memetic_search(g, MemeticParams(init_restarts=1), random.Random(seed),
+                          target=100, on_improve=improvements.append, stats=stats)
+    assert improvements[0] > 100 >= best.sum == improvements[-1]
+    assert 0 < stats.iterations < MemeticParams().tabu.iteration_budget
 
 
 def test_memetic_search_returns_a_descent_that_meets_the_sum_bound(monkeypatch):
@@ -203,7 +222,7 @@ def test_memetic_search_returns_a_descent_that_meets_the_sum_bound(monkeypatch):
     original = tabucol_module.tabucol
     monkeypatch.setattr(tabucol_module, "tabucol", lambda *args: calls.append(args[1]) or original(*args))
     g = require_instance("queen7_7")
-    seed = initial_coloring(g, TabucolParams(), random.Random(8))
+    seed = initial_coloring(g, 3, random.Random(8))
     descent = list(calls)
     stats = SearchStats()
     best = memetic_search(g, MemeticParams(), random.Random(8), stats=stats,
@@ -213,7 +232,7 @@ def test_memetic_search_returns_a_descent_that_meets_the_sum_bound(monkeypatch):
     assert stats.iterations == 0
 
 
-def test_memetic_search_stops_at_the_sum_bound_with_the_full_run_result():
+def test_memetic_search_stops_at_the_sum_bound_with_the_full_run_result(quick_params):
     """queen5_5 from a greedy warm start: the descent's coloring meets the
     bound 75, so no generation runs, and the run returns what a run that
     cannot stop there returns."""
@@ -230,7 +249,7 @@ def test_memetic_search_stops_at_the_sum_bound_with_the_full_run_result():
     assert stopped.iterations == 0 < full.iterations
 
 
-def test_memetic_search_warm_start(myciel3):
+def test_memetic_search_warm_start(myciel3, quick_params):
     rng = random.Random(30)
     warm = memetic_search(myciel3, quick_params(max_generations=2), rng)
     improvements = []
@@ -242,7 +261,7 @@ def test_memetic_search_warm_start(myciel3):
     assert improvements[0] <= warm.sum  # warm member bounds the initial best
 
 
-def test_memetic_search_rejects_improper_warm_start(myciel3):
+def test_memetic_search_rejects_improper_warm_start(myciel3, quick_params):
     broken = Coloring.from_assignment([1] * myciel3.n)
     with pytest.raises(ValueError, match="proper"):
         memetic_search(myciel3, quick_params(), random.Random(0), warm_start=broken)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sumcol import Coloring, Graph, TabucolParams, TabuSearchParams, is_proper
+from sumcol import Coloring, Graph, TabuSearchParams, is_proper
 import sumcol.tabu_search as tabu_search_module
 from sumcol.coloring import canonical_relabel
 from sumcol.graph import bits
@@ -41,7 +41,7 @@ def test_params_validation():
 
 def test_validated_run_improves_small_instance(myciel3):
     rng = random.Random(13)
-    start = initial_coloring(myciel3, TabucolParams(), rng)
+    start = initial_coloring(myciel3, 3, rng)
     stats = SearchStats()
     out = tabu_search(start, myciel3, small_params(), rng, validate=True, stats=stats)
     assert is_proper(out, myciel3)
@@ -53,7 +53,7 @@ def test_validated_run_improves_small_instance(myciel3):
 
 def test_validated_run_exercises_perturbation(myciel3):
     rng = random.Random(3)
-    start = initial_coloring(myciel3, TabucolParams(), rng)
+    start = initial_coloring(myciel3, 3, rng)
     # a tiny stall limit forces several perturbations inside the budget
     out = tabu_search(start, myciel3, small_params(stall_limit=80), rng, validate=True)
     assert is_proper(out, myciel3)
@@ -63,7 +63,7 @@ def test_validated_run_exercises_perturbation(myciel3):
 def test_validated_single_neighborhood_runs(myciel3):
     for kinds in ((EXCHANGE,), (RELOCATE,)):
         rng = random.Random(8)
-        start = initial_coloring(myciel3, TabucolParams(), rng)
+        start = initial_coloring(myciel3, 3, rng)
         out = tabu_search(start, myciel3, small_params(), rng,
                           neighborhoods=kinds, validate=True)
         assert is_proper(out, myciel3)
@@ -176,7 +176,7 @@ def _bump_the_cached_sum(run):
     (_drop_a_cached_exchange, "pair cache"),
 ], ids=["class-mask", "improper", "cached-sum", "isolated-mask", "pair-cache"])
 def test_validation_catches_a_corrupted_class_mask(myciel3, corrupt, message):
-    start = initial_coloring(myciel3, TabucolParams(), random.Random(1))
+    start = initial_coloring(myciel3, 3, random.Random(1))
     run = TabuSearchRun(start, myciel3, small_params(), random.Random(0), validate=True)
     run._check_state()
     corrupt(run)
@@ -198,7 +198,7 @@ def test_exchange_rows_are_reused_when_the_class_masks_return(myciel4, monkeypat
     """A row is keyed by the two class masks it was built from: an exchange
     applied twice restores both, so the next selection searches no
     component again, even with the component memo emptied."""
-    start = initial_coloring(myciel4, TabucolParams(), random.Random(1))
+    start = initial_coloring(myciel4, 3, random.Random(1))
     run = TabuSearchRun(start, myciel4, small_params(), random.Random(0))
     move = run._select_exchange(1)
     assert move is not None
@@ -217,7 +217,7 @@ def test_no_linked_set_is_searched_twice_below_the_memo_size(monkeypatch):
     while the memo holds them all, no set goes to the search twice."""
     queen8_8 = require_instance("queen8_8")
     rng = random.Random(4)
-    start = initial_coloring(queen8_8, TabucolParams(), rng)
+    start = initial_coloring(queen8_8, 3, rng)
     searched = _searched_masks(monkeypatch)
     tabu_search(start, queen8_8, small_params(iteration_budget=300), rng, neighborhoods=(EXCHANGE,))
     assert 0 < len(searched) < _COMPONENT_MEMO_SIZE
@@ -227,7 +227,7 @@ def test_no_linked_set_is_searched_twice_below_the_memo_size(monkeypatch):
 def test_component_memo_stays_within_its_size(monkeypatch):
     myciel7 = require_instance("myciel7")
     rng = random.Random(6)
-    start = initial_coloring(myciel7, TabucolParams(), rng)
+    start = initial_coloring(myciel7, 3, rng)
     searched = _searched_masks(monkeypatch)
     sizes = []
     phase = TabuSearchRun.run_phase
@@ -266,7 +266,7 @@ def test_every_searched_set_is_linked_across_its_side(neighborhoods, monkeypatch
     starts = [_random_start(rng) for _ in range(8)]
     for name in ("myciel7", "queen8_8"):
         graph = require_instance(name)
-        starts.append((graph, initial_coloring(graph, TabucolParams(), rng)))
+        starts.append((graph, initial_coloring(graph, 3, rng)))
     for graph, start in starts:
         searched.clear()
         tabu_search(start, graph, params, rng, neighborhoods=neighborhoods)
@@ -400,7 +400,7 @@ def test_validation_catches_a_wrong_memoized_component_list(myciel4):
     """A memoized list with one extra component, a whole class, which costs
     more than every real move of its pair and so never changes a selection:
     only the cross-check of the rows it fed can notice."""
-    start = initial_coloring(myciel4, TabucolParams(), random.Random(1))
+    start = initial_coloring(myciel4, 3, random.Random(1))
     run = TabuSearchRun(start, myciel4, small_params(), random.Random(0), validate=True)
     masks = run.current.class_masks
     k = run.current.k
@@ -416,7 +416,7 @@ def test_validation_catches_a_wrong_memoized_component_list(myciel4):
 
 
 def test_validation_catches_a_selection_the_reference_would_not_make(myciel3):
-    start = initial_coloring(myciel3, TabucolParams(), random.Random(1))
+    start = initial_coloring(myciel3, 3, random.Random(1))
     run = TabuSearchRun(start, myciel3, small_params(), random.Random(0), validate=True)
     tabu = TabuState(run.tabu.iteration, run.tabu.pair_until, dict(run.tabu.vertex_until),
                      run.tabu.class_until)
@@ -434,7 +434,7 @@ def test_validation_catches_a_selection_the_reference_would_not_make(myciel3):
 
 def _relocation_only_search(graph, validate=False):
     rng = random.Random(5)
-    start = initial_coloring(graph, TabucolParams(), rng)
+    start = initial_coloring(graph, 3, rng)
     tabu_search(start, graph, small_params(), rng, neighborhoods=(RELOCATE,), validate=validate)
 
 
@@ -469,7 +469,7 @@ def test_selections_keep_only_live_class_locks(myciel4, monkeypatch):
 
         monkeypatch.setattr(TabuSearchRun, name, checked)
     rng = random.Random(5)
-    start = initial_coloring(myciel4, TabucolParams(), rng)
+    start = initial_coloring(myciel4, 3, rng)
     tabu_search(start, myciel4, small_params(stall_limit=80), rng, validate=True)
     assert len(seen) == 1500
     # locks were live at some selections and dropped at a later one
@@ -493,7 +493,7 @@ def test_validation_catches_a_prune_that_drops_a_live_lock(myciel4, monkeypatch)
 
 def test_on_improve_reports_strictly_decreasing_sums(myciel4):
     rng = random.Random(21)
-    start = initial_coloring(myciel4, TabucolParams(), rng)
+    start = initial_coloring(myciel4, 3, rng)
     seen = []
     tabu_search(start, myciel4, small_params(iteration_budget=4000), rng,
                 on_improve=lambda s, it: seen.append((s, it)))
@@ -507,7 +507,7 @@ def test_on_improve_reports_strictly_decreasing_sums(myciel4):
 
 def test_budget_is_respected_exactly(myciel3):
     rng = random.Random(2)
-    start = initial_coloring(myciel3, TabucolParams(), rng)
+    start = initial_coloring(myciel3, 3, rng)
     stats = SearchStats()
     tabu_search(start, myciel3, small_params(iteration_budget=777), rng, stats=stats)
     assert stats.iterations == 777
@@ -543,7 +543,7 @@ def test_search_gathers_an_edgeless_graph_into_one_class():
 
 
 def test_a_start_at_the_sum_bound_is_returned_without_an_iteration(queen5_5):
-    start = initial_coloring(queen5_5, TabucolParams(), random.Random(1))
+    start = initial_coloring(queen5_5, 3, random.Random(1))
     stats = SearchStats()
     best = tabu_search(start, queen5_5, small_params(), random.Random(0), stats=stats)
     assert best.assignment == start.assignment and best.sum == queen5_5.sum_bound
@@ -551,21 +551,21 @@ def test_a_start_at_the_sum_bound_is_returned_without_an_iteration(queen5_5):
 
 
 def test_same_seed_same_result(myciel3):
-    start = initial_coloring(myciel3, TabucolParams(), random.Random(1))
+    start = initial_coloring(myciel3, 3, random.Random(1))
     a = tabu_search(start, myciel3, small_params(), random.Random(42))
     b = tabu_search(start, myciel3, small_params(), random.Random(42))
     assert a.assignment == b.assignment
 
 
 def test_input_coloring_is_not_mutated(myciel3):
-    start = initial_coloring(myciel3, TabucolParams(), random.Random(1))
+    start = initial_coloring(myciel3, 3, random.Random(1))
     snapshot = list(start.assignment)
     tabu_search(start, myciel3, small_params(), random.Random(5))
     assert start.assignment == snapshot
 
 
 def test_rejects_bad_arguments(myciel3):
-    start = initial_coloring(myciel3, TabucolParams(), random.Random(1))
+    start = initial_coloring(myciel3, 3, random.Random(1))
     improper = Coloring.from_assignment([1] * myciel3.n)
     with pytest.raises(ValueError, match="proper"):
         tabu_search(improper, myciel3, small_params(), random.Random(0))

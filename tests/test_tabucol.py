@@ -5,7 +5,7 @@ import pytest
 
 import sumcol.graph as graph_module
 import sumcol.tabucol as tabucol_module
-from sumcol import Coloring, Graph, TabucolParams, is_proper
+from sumcol import Coloring, Graph, is_proper
 from sumcol.bench import load_instance, load_manifest
 from sumcol.coloring import canonical_relabel
 from sumcol.graph import greedy_clique
@@ -72,27 +72,27 @@ def test_greedy_clique_is_a_clique_number_lower_bound():
         assert greedy_clique(Graph.from_edges(n, edges)) <= oracles.brute_force_clique_number(n, edges)
 
 
-def test_tabucol_finds_feasible_k():
+def test_tabucol_finds_feasible_k(monkeypatch):
+    monkeypatch.setattr(tabucol_module, "_ITERATION_BUDGET", 2000)
     g = complete_graph(4)
-    params = TabucolParams(iteration_budget=2000)
-    c = tabucol(g, 4, params, random.Random(1))
+    c = tabucol(g, 4, 3, random.Random(1))
     assert c is not None
     assert is_proper(c, g)
     assert max(c.assignment) <= 4
 
 
-def test_tabucol_gives_up_below_chromatic_number():
+def test_tabucol_gives_up_below_chromatic_number(monkeypatch):
+    monkeypatch.setattr(tabucol_module, "_ITERATION_BUDGET", 500)
     # K5 at k = 4 is below its clique: refused before any draw
     g = complete_graph(5)
-    params = TabucolParams(iteration_budget=500, restarts=2)
     rng = random.Random(1)
     state = rng.getstate()
-    assert tabucol(g, 4, params, rng) is None
+    assert tabucol(g, 4, 2, rng) is None
     assert rng.getstate() == state
     # C5 at k = 2: chromatic number 3 above clique number 2, so the attempts run and fail
     c5 = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
     assert greedy_clique(c5) == 2
-    assert tabucol(c5, 2, params, rng) is None
+    assert tabucol(c5, 2, 2, rng) is None
     assert rng.getstate() != state
 
 
@@ -124,12 +124,12 @@ def _reference_one_move_attempt(graph, k, rng):
     return (None if conflicts() else colors), ties
 
 
-def test_tabucol_move_follows_uniform_min():
+def test_tabucol_move_follows_uniform_min(monkeypatch):
     """With a one-iteration budget an attempt makes at most one move; where
     the move clears the last conflict the attempt returns the coloring, so
     its pick among the tied repairs shows, and the draws must match."""
+    monkeypatch.setattr(tabucol_module, "_ITERATION_BUDGET", 1)
     rng = random.Random(37)
-    params = TabucolParams(iteration_budget=1, restarts=1)
     picked = 0
     for case in range(400):
         n = rng.randint(3, 10)
@@ -139,26 +139,27 @@ def test_tabucol_move_follows_uniform_min():
             continue
         ours, reference = random.Random(case), random.Random(case)
         expected, ties = _reference_one_move_attempt(graph, k, reference)
-        result = tabucol(graph, k, params, ours)
+        result = tabucol(graph, k, 1, ours)
         assert (result.assignment if result else None) == expected
         assert ours.getstate() == reference.getstate()
         picked += expected is not None and ties > 1
     assert picked >= 50
 
 
-def _same_attempt(graph, edges, k, budget, seed):
-    """Runs ``_tabucol_attempt`` and the oracle from one seed, asserts the
-    same result and the same generator state, and returns the oracle's."""
-    params = TabucolParams(iteration_budget=budget, restarts=1)
+def _same_attempt(monkeypatch, graph, edges, k, budget, seed):
+    """Runs ``_tabucol_attempt`` capped at ``budget`` iterations and the
+    oracle from one seed, asserts the same result and the same generator
+    state, and returns the oracle's."""
+    monkeypatch.setattr(tabucol_module, "_ITERATION_BUDGET", budget)
     ours, reference = random.Random(seed), random.Random(seed)
     expected, deltas = oracles.tabucol_attempt(graph.n, edges, k, budget, 9, 0.6, reference)
-    result = tabucol_module._tabucol_attempt(graph, k, params, ours)
+    result = tabucol_module._tabucol_attempt(graph, k, ours)
     assert (result.assignment if result else None) == expected
     assert ours.getstate() == reference.getstate()
     return expected, deltas
 
 
-def test_tabucol_attempt_matches_the_plain_oracle(myciel3):
+def test_tabucol_attempt_matches_the_plain_oracle(myciel3, monkeypatch):
     """Whole attempts against ``oracles.tabucol_attempt``, which recounts
     every conflict at every iteration: the attempt's conflict list, count
     limit and vertex skip must leave every move and every draw as they are.
@@ -171,7 +172,7 @@ def test_tabucol_attempt_matches_the_plain_oracle(myciel3):
         edges = oracles.random_gnp(n, rng.choice((0.05, 0.1, 0.2, 0.35, 0.5, 0.8)), rng)
         k = rng.randint(1, max(1, n // 2))
         budget = round(5000 ** rng.random())
-        expected, deltas = _same_attempt(Graph.from_edges(n, edges), edges, k, budget, case)
+        expected, deltas = _same_attempt(monkeypatch, Graph.from_edges(n, edges), edges, k, budget, case)
         found += expected is not None
         failed += expected is None
         steep += any(delta < -1 for delta in deltas)
@@ -180,11 +181,11 @@ def test_tabucol_attempt_matches_the_plain_oracle(myciel3):
     c5_edges = [(i, (i + 1) % 5) for i in range(5)]
     for graph, edges, k in ((Graph.from_edges(5, c5_edges), c5_edges, 2),
                             (myciel3, list(myciel3.edges()), 3)):
-        expected, deltas = _same_attempt(graph, edges, k, 10**9, 7)
+        expected, deltas = _same_attempt(monkeypatch, graph, edges, k, 10**9, 7)
         assert expected is None and deltas
 
 
-def test_warm_tabucol_attempt_matches_the_plain_oracle():
+def test_warm_tabucol_attempt_matches_the_plain_oracle(monkeypatch):
     """Warm first attempts against ``oracles.tabucol_attempt`` from the same
     start: ``tabucol`` with ``warm`` and one restart must make the draws of
     the smallest class's dissolution, then those of the oracle's attempt
@@ -203,14 +204,14 @@ def test_warm_tabucol_attempt_matches_the_plain_oracle():
         if k < max(1, graph.clique_size):
             continue
         budget = round(5000 ** rng.random())
-        params = TabucolParams(iteration_budget=budget, restarts=1)
+        monkeypatch.setattr(tabucol_module, "_ITERATION_BUDGET", budget)
         ours, reference = random.Random(case), random.Random(case)
         before = reference.getstate()
         start = tabucol_module._dissolve_smallest_class(graph, warm, reference)
         placement_draws += reference.getstate() != before
         expected, _ = oracles.tabucol_attempt(n, edges, k, budget, 9, 0.6, reference,
                                               start=[c + 1 for c in start])
-        result = tabucol(graph, k, params, ours, warm)
+        result = tabucol(graph, k, 1, ours, warm)
         assert (result.assignment if result else None) == expected
         assert ours.getstate() == reference.getstate()
         replayed += 1
@@ -253,10 +254,10 @@ def test_warm_tabucol_draws_nothing_without_freed_vertices_or_below_the_clique()
     # the empty class 2 is the smallest: the dissolved start is proper already
     path = Graph.from_edges(3, [(0, 1), (1, 2)])
     warm = Coloring.from_assignment([1, 3, 1], k=3)
-    assert tabucol(path, 2, TabucolParams(), rng, warm).assignment == [1, 2, 1]
+    assert tabucol(path, 2, 3, rng, warm).assignment == [1, 2, 1]
     assert rng.getstate() == state
     # K3 at k = 2 is refused before the dissolution, which would draw a tie
-    assert tabucol(complete_graph(3), 2, TabucolParams(), rng, Coloring.from_assignment([1, 2, 3])) is None
+    assert tabucol(complete_graph(3), 2, 3, rng, Coloring.from_assignment([1, 2, 3])) is None
     assert rng.getstate() == state
 
 
@@ -275,40 +276,41 @@ class _CountingRandom(random.Random):
         return super().randint(a, b)
 
 
-def test_tabucol_attempt_stops_after_idle_limit(myciel3):
+def test_tabucol_attempt_stops_after_idle_limit(myciel3, monkeypatch):
     """Below the chromatic number (4 on myciel3) an attempt with no
     practical budget ends 10,000 iterations after its last new best
     conflict count."""
+    monkeypatch.setattr(tabucol_module, "_ITERATION_BUDGET", 10**9)
     rng = _CountingRandom(1, limit=100_000)
-    params = TabucolParams(iteration_budget=10**9, restarts=1)
-    assert tabucol(myciel3, 3, params, rng) is None
+    assert tabucol(myciel3, 3, 1, rng) is None
 
 
 def test_tabucol_one_color_cases():
     empty = Graph.from_edges(3, [])
-    c = tabucol(empty, 1, TabucolParams(), random.Random(0))
+    c = tabucol(empty, 1, 3, random.Random(0))
     assert c is not None and c.assignment == [1, 1, 1]
     edge = Graph.from_edges(2, [(0, 1)])
-    assert tabucol(edge, 1, TabucolParams(), random.Random(0)) is None
+    assert tabucol(edge, 1, 3, random.Random(0)) is None
 
 
 def test_tabucol_rejects_bad_k():
     g = complete_graph(3)
     with pytest.raises(ValueError):
-        tabucol(g, 0, TabucolParams(), random.Random(0))
+        tabucol(g, 0, 3, random.Random(0))
     with pytest.raises(ValueError):
-        tabucol(g, 4, TabucolParams(), random.Random(0))
+        tabucol(g, 4, 3, random.Random(0))
 
 
 def test_tabucol_params_validation():
-    with pytest.raises(ValueError):
-        TabucolParams(iteration_budget=0)
-    with pytest.raises(ValueError):
-        TabucolParams(restarts=0)
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="restarts must be >= 1"):
+        tabucol(complete_graph(3), 3, 0, rng)
+    assert rng.getstate() == state
 
 
 def test_initial_coloring_is_proper_and_canonical(myciel3):
-    c = initial_coloring(myciel3, TabucolParams(), random.Random(9))
+    c = initial_coloring(myciel3, 3, random.Random(9))
     assert is_proper(c, myciel3)
     assert c.assignment == canonical_relabel(c).assignment
 
@@ -320,7 +322,7 @@ def test_initial_coloring_reaches_the_clique_number(name, omega):
     graph = load_generator().rook(30) if name == "rook30" else require_instance(name)
     assert graph.clique_size == omega
     for seed in (1, 2, 3):
-        coloring = initial_coloring(graph, TabucolParams(), random.Random(seed))
+        coloring = initial_coloring(graph, 3, random.Random(seed))
         assert coloring.k == omega and is_proper(coloring, graph)
 
 
@@ -333,16 +335,16 @@ def test_initial_coloring_is_a_fresh_tabucol_coloring_when_greedy_is_optimal(myc
     found = set()
     for seed in (1, 2, 3):
         rng = random.Random(seed)
-        assert tabucol(myciel3, 3, TabucolParams(), rng, greedy) is None
-        expected = canonical_relabel(tabucol(myciel3, 4, TabucolParams(), rng))
-        coloring = initial_coloring(myciel3, TabucolParams(), random.Random(seed))
+        assert tabucol(myciel3, 3, 3, rng, greedy) is None
+        expected = canonical_relabel(tabucol(myciel3, 4, 3, rng))
+        coloring = initial_coloring(myciel3, 3, random.Random(seed))
         assert coloring.assignment == expected.assignment
         found.add(tuple(coloring.assignment))
     assert len(found) == 3 and tuple(canonical_relabel(greedy).assignment) not in found
 
 
 def test_generate_population_distinct_and_proper(myciel3):
-    members = generate_population(myciel3, 8, TabucolParams(), random.Random(4))
+    members = generate_population(myciel3, 8, 3, random.Random(4))
     assert len(members) == 8
     assert len({tuple(m.assignment) for m in members}) == 8
     for m in members:
@@ -352,8 +354,8 @@ def test_generate_population_distinct_and_proper(myciel3):
 
 def test_generate_population_includes_warm_start(myciel3):
     rng = random.Random(5)
-    warm = initial_coloring(myciel3, TabucolParams(), rng)
-    members = generate_population(myciel3, 6, TabucolParams(), rng, include=warm)
+    warm = initial_coloring(myciel3, 3, rng)
+    members = generate_population(myciel3, 6, 3, rng, include=warm)
     assert len(members) == 6
     assert tuple(warm.assignment) in {tuple(m.assignment) for m in members}
 
@@ -371,10 +373,10 @@ def test_greedy_clique_is_grown_once_per_graph(monkeypatch):
     # queen6_6's sum bound 126 is below its optimum 138, so the build fills its pool
     g = require_instance("queen6_6")
     assert g._clique_size is None
-    members = generate_population(g, 10, TabucolParams(), random.Random(3))
+    members = generate_population(g, 10, 3, random.Random(3))
     assert calls["tabucol"] > 10 and calls["greedy_clique"] == 1
     assert g._clique_size == g.clique_size == 6
-    again = generate_population(g, 10, TabucolParams(), random.Random(3))
+    again = generate_population(g, 10, 3, random.Random(3))
     assert calls["greedy_clique"] == 1
     assert [m.assignment for m in again] == [m.assignment for m in members]
     with pytest.raises(AttributeError):
@@ -388,19 +390,31 @@ def test_generate_population_stops_at_a_member_that_meets_the_sum_bound(monkeypa
     original = tabucol_module.tabucol
     monkeypatch.setattr(tabucol_module, "tabucol", lambda *args: calls.append(args[1]) or original(*args))
     g = require_instance("queen7_7")
-    seed = initial_coloring(g, TabucolParams(), random.Random(5))
+    seed = initial_coloring(g, 3, random.Random(5))
     descent = len(calls)
     assert seed.sum == g.sum_bound == 196 and calls[-1] == 6
-    assert generate_population(g, 10, TabucolParams(), random.Random(5)) == [seed]
+    assert generate_population(g, 10, 3, random.Random(5)) == [seed]
     assert len(calls) == 2 * descent
-    assert generate_population(g, 10, TabucolParams(), random.Random(6), include=seed) == [seed]
+    assert generate_population(g, 10, 3, random.Random(6), include=seed) == [seed]
     assert len(calls) == 2 * descent
 
 
-def test_generate_population_returns_short_when_too_few_partitions_exist():
+def test_generate_population_stops_at_a_member_within_its_stop_sum():
+    """A stop sum above the bound ends the build as the bound does: on
+    queen6_6 (bound 126) a stop at the descent's sum keeps that coloring,
+    or a warm start within it, alone."""
+    g = require_instance("queen6_6")
+    seed = initial_coloring(g, 3, random.Random(5))
+    assert seed.sum > g.sum_bound
+    assert generate_population(g, 10, 3, random.Random(5), stop_sum=seed.sum) == [seed]
+    assert generate_population(g, 10, 3, random.Random(6), include=seed, stop_sum=seed.sum) == [seed]
+
+
+def test_generate_population_returns_short_when_too_few_partitions_exist(monkeypatch):
+    monkeypatch.setattr(tabucol_module, "_ITERATION_BUDGET", 300)
     # a complete graph has exactly one partition into independent sets
     g = complete_graph(3)
-    members = generate_population(g, 5, TabucolParams(iteration_budget=300, restarts=1), random.Random(2))
+    members = generate_population(g, 5, 1, random.Random(2))
     assert [m.assignment for m in members] == [[1, 2, 3]]
 
 
@@ -408,5 +422,5 @@ def test_generate_population_rejects_empty_size(myciel3):
     rng = random.Random(0)
     state = rng.getstate()
     with pytest.raises(ValueError, match="population size"):
-        generate_population(myciel3, 0, TabucolParams(), rng)
+        generate_population(myciel3, 0, 3, rng)
     assert rng.getstate() == state
